@@ -49,7 +49,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list[float]:
     """Parse LO:HI:N (log10 endpoints) into an omega grid."""
     try:
         lo, hi, n = spec.split(":")
@@ -58,7 +58,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"bad grid spec {spec!r}, expected LO:HI:N") from exc
     if n < 1:
         raise ConfigError(f"grid needs at least one point, got {n}")
-    return 10.0 ** np.linspace(lo, hi, n)
+    return (10.0 ** np.linspace(lo, hi, n)).tolist()
 
 
 def _parse_range(spec: str) -> tuple[int, int]:

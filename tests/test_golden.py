@@ -55,6 +55,21 @@ def test_matches_golden(outputs, case):
     assert outputs[case].read_bytes() == expected.read_bytes()
 
 
+TEXT_COLUMNS = {"method", "best_method", "fidelity"}
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][1].endswith(".csv")))
+def test_numeric_fields_parse(outputs, case):
+    header, *rows = outputs[case].read_text().splitlines()
+    names = header.split(",")
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(names)
+        for name, value in zip(names, fields):
+            if name not in TEXT_COLUMNS:
+                float(value)
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(_run(case, GOLDEN / case), file=sys.stderr)
