@@ -17,13 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import Scheme, make_code, mbr_point, msr_point
-from .cost_model import (
-    SystemConfig,
-    operator_gain,
-    regenerating_cost,
-    replication_cost,
-    simple_caching_cost,
-)
+from .cost_model import SystemConfig, method_cost, operator_gain
 from .geometry import GeometryTable, base_station_cost, build_geometry_table, link_cost
 from .markov import (
     PopulationDistribution,
@@ -208,12 +202,7 @@ def simulator_agreement() -> CriterionResult:
     for name, code in methods.items():
         for omega in (1e-3, 1e-2, 1e-1):
             cfg = _cfg(2.0, omega)
-            if code.scheme is Scheme.SIMPLE:
-                analytic = simple_caching_cost(cfg, geom).total
-            elif code.scheme is Scheme.REPLICATION:
-                analytic = replication_cost(cfg, code.n, geom).total
-            else:
-                analytic = regenerating_cost(cfg, code, geom).total
+            analytic = method_cost(cfg, code, geom).total
             results = {}
             # fidelity cross-check only at the default request rate: at
             # omega = 1e-3 a single 1e4-horizon run of simple caching has

@@ -4,7 +4,7 @@ Subcommands produce plot-ready CSV/JSON artifacts: geometry tables,
 analytic cost sweeps, optimal-parameter curves, Monte Carlo points,
 operator-gain sweeps, savings tables, and the acceptance verification
 suite. All outputs are deterministic given a seed; sweep rows are sorted
-by (sigma, omega, method) so parallelism never changes bytes.
+by (sigma, omega, method, v) so parallelism never changes bytes.
 
 Exit codes: 0 ok, 1 config error, 2 numerical/solver failure,
 3 acceptance-verification failure.
@@ -17,32 +17,21 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance
-from .codes import FeasibilityError, Scheme, make_code
-from .cost_model import (
-    CostBreakdown,
-    SystemConfig,
-    operator_gain,
-    simple_caching_cost,
-)
-from .geometry import build_geometry_table
+from .codes import FeasibilityError
+from .cost_model import CSV_HEADER, SystemConfig, cost_csv_row, operator_gain
+from .geometry import GeometryTable, build_geometry_table
 from .markov import SolverError
-from .optimizer import (
-    SearchRanges,
-    best_method,
-    optimize_regenerating,
-    optimize_replication,
-)
+from .optimizer import MethodComparison, SearchRanges, best_method
 from .simulator import COUNTER_NAMES, SimConfig, replicate, simulate
 
 ALL_METHODS = ("simple", "replication", "msr", "mbr")
-
-CONFIG_FIELDS = ("m", "lam", "omega", "r", "v", "gamma_d2d", "gamma_bs", "sigma", "theta")
 
 
 class ConfigError(ValueError):
@@ -70,10 +59,10 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def _base_config(args) -> dict:
-    base = {f: getattr(SystemConfig(), f) for f in CONFIG_FIELDS}
+    base = SystemConfig().to_dict()
     if args.config:
         doc = json.loads(Path(args.config).read_text())
-        unknown = set(doc) - set(CONFIG_FIELDS)
+        unknown = set(doc) - set(base)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         base.update({k: float(v) for k, v in doc.items()})
@@ -81,24 +70,19 @@ def _base_config(args) -> dict:
         val = getattr(args, f, None)
         if val is not None:
             base[f] = val
+    # only gain has a v column; elsewhere a second --v would be dropped
+    if args.v and args.command != "gain":
+        if len(args.v) > 1:
+            raise ConfigError(f"{args.command} takes a single --v, got {len(args.v)}")
+        base["v"] = args.v[0]
     return base
 
 
 def _make_cfg(base: dict, **overrides) -> SystemConfig:
-    import warnings
-
     merged = {**base, **overrides}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return SystemConfig(**merged)
-
-
-def _sigmas(args, base: dict) -> list[float]:
-    return args.sigma if args.sigma else [base["sigma"]]
-
-
-def _vs(args, base: dict) -> list[float]:
-    return args.v if args.v else [base["v"]]
 
 
 def _methods(args) -> list[str]:
@@ -111,147 +95,89 @@ def _methods(args) -> list[str]:
     return methods
 
 
-def _ranges(args) -> SearchRanges:
-    return SearchRanges(
-        replication_n=_parse_range(args.rep_n), coded_n=_parse_range(args.coded_n)
-    )
+def _sweep(args, methods: list) -> list[tuple[SystemConfig, str, MethodComparison, GeometryTable]]:
+    """Optimize every method at each (sigma, omega, v) point, with one geometry
+    table per v. Returns (cfg, method, comparison, table) in output order,
+    sorted by (sigma, omega, method, v); methods=[None] gives one per point.
+    """
+    base = _base_config(args)
+    ranges = SearchRanges(_parse_range(args.rep_n), _parse_range(args.coded_n))
+    omegas = _parse_grid(args.omega_grid)
+    n_max = max(ranges.replication_n[1], ranges.coded_n[1])
+    points = []
+    for v in args.v or [base["v"]]:
+        geom = build_geometry_table(_make_cfg(base, v=v), n_max)
+        for sigma in args.sigma or [base["sigma"]]:
+            for omega in omegas:
+                cfg = _make_cfg(base, sigma=sigma, omega=omega, v=v)
+                cmp = best_method(cfg, ranges, geom)
+                points += [(cfg, method, cmp, geom) for method in methods]
+    points.sort(key=lambda p: (p[0].sigma, p[0].omega, p[1], p[0].v))
+    return points
 
 
-def _optimized(cfg: SystemConfig, method: str, ranges: SearchRanges, geom) -> CostBreakdown:
-    if method == "simple":
-        return simple_caching_cost(cfg, geom)
-    if method == "replication":
-        return optimize_replication(cfg, ranges, geom).cost
-    scheme = Scheme.MSR if method == "msr" else Scheme.MBR
-    return optimize_regenerating(cfg, scheme, ranges, geom).cost
-
-
-def _write(args, name: str, lines: list[str]) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+def _write(args, name: str, lines: list[str]) -> None:
+    path = Path(args.out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     print(path)
-    return path
 
 
 def cmd_geometry(args) -> int:
     base = _base_config(args)
-    cfg = _make_cfg(base, sigma=_sigmas(args, base)[0], v=_vs(args, base)[0])
+    cfg = _make_cfg(base, sigma=(args.sigma or [base["sigma"]])[0])
     table = build_geometry_table(cfg, args.n_max)
     _write(args, "geometry_table.json", [table.to_json()])
     return 0
 
 
 def cmd_cost(args) -> int:
-    base = _base_config(args)
-    methods = _methods(args)
-    ranges = _ranges(args)
-    omegas = _parse_grid(args.omega_grid)
-    n_max = max(ranges.replication_n[1], ranges.coded_n[1])
-    geom = build_geometry_table(_make_cfg(base), n_max)
-    rows = []
-    for sigma in _sigmas(args, base):
-        for omega in omegas:
-            cfg = _make_cfg(base, sigma=sigma, omega=float(omega))
-            for method in methods:
-                cost = _optimized(cfg, method, ranges, geom)
-                c = cost.method
-                rows.append(
-                    (sigma, float(omega), method,
-                     f"{method},{c.n},{c.k},{c.d},{omega!r},{sigma!r},"
-                     f"{cost.reconstruction!r},{cost.repair!r},{cost.storage!r},{cost.total!r}")
-                )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    header = "method,n,k,d,omega,sigma,reconstruction,repair,storage,total"
-    _write(args, "cost_sweep.csv", [header] + [r[3] for r in rows])
+    rows = [cost_csv_row(cmp.cost_of(m), cfg) for cfg, m, cmp, _ in _sweep(args, _methods(args))]
+    _write(args, "cost_sweep.csv", [CSV_HEADER] + rows)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    base = _base_config(args)
-    ranges = _ranges(args)
-    omegas = _parse_grid(args.omega_grid)
-    n_max = max(ranges.replication_n[1], ranges.coded_n[1])
-    geom = build_geometry_table(_make_cfg(base), n_max)
     rows = []
-    for sigma in _sigmas(args, base):
-        for omega in omegas:
-            cfg = _make_cfg(base, sigma=sigma, omega=float(omega))
-            for method in ("replication", "msr", "mbr"):
-                if method == "replication":
-                    res = optimize_replication(cfg, ranges, geom)
-                else:
-                    scheme = Scheme.MSR if method == "msr" else Scheme.MBR
-                    res = optimize_regenerating(cfg, scheme, ranges, geom)
-                b = res.best
-                rows.append(
-                    (sigma, float(omega), method,
-                     f"{omega!r},{sigma!r},{method},{b.n},{b.k},{b.d},"
-                     f"{res.cost.total!r},{100.0 * res.savings_vs_simple!r}")
-                )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    header = "omega,sigma,method,n,k,d,total,savings_pct"
-    _write(args, "optimize_sweep.csv", [header] + [r[3] for r in rows])
+    for cfg, method, cmp, _ in _sweep(args, ["replication", "msr", "mbr"]):
+        cost = cmp.cost_of(method)
+        b = cost.method
+        savings = 100.0 * (1.0 - cost.total / cmp.simple.total)
+        rows.append(
+            f"{cfg.omega!r},{cfg.sigma!r},{method},{b.n},{b.k},{b.d},{cost.total!r},{savings!r}"
+        )
+    _write(args, "optimize_sweep.csv", ["omega,sigma,method,n,k,d,total,savings_pct"] + rows)
     return 0
 
 
-def _sim_job(job: tuple[SimConfig, int]) -> str:
-    cfg, reps = job
-    result = replicate(cfg, reps) if reps > 1 else simulate(cfg)
+def _sim_job(job: tuple[SimConfig, int, GeometryTable]) -> str:
+    cfg, reps, geom = job
+    result = replicate(cfg, reps, geom) if reps > 1 else simulate(cfg, geom)
     c = cfg.method
     sys_cfg = cfg.system
     rec, rep, sto = result.mean_components
     counters = ",".join(str(result.counters[n]) for n in COUNTER_NAMES)
-    ci = result.ci95_halfwidth
     return (
         f"{c.scheme.value},{c.n},{c.k},{c.d},{sys_cfg.omega!r},{sys_cfg.sigma!r},"
         f"{rec!r},{rep!r},{sto!r},{result.mean_total!r},"
-        f"{ci!r},{cfg.seed},{cfg.horizon!r},{cfg.fidelity},{counters}"
+        f"{result.ci95_halfwidth!r},{cfg.seed},{cfg.horizon!r},{cfg.fidelity},{counters}"
     )
 
 
 def cmd_simulate(args) -> int:
-    base = _base_config(args)
-    methods = _methods(args)
-    ranges = _ranges(args)
-    omegas = _parse_grid(args.omega_grid)
-    n_max = max(ranges.replication_n[1], ranges.coded_n[1])
-    geom = build_geometry_table(_make_cfg(base), n_max)
-
-    jobs = []
-    keys = []
-    for sigma in _sigmas(args, base):
-        for omega in omegas:
-            cfg = _make_cfg(base, sigma=sigma, omega=float(omega))
-            for method in methods:
-                code = _optimized(cfg, method, ranges, geom).method
-                keys.append((sigma, float(omega), method))
-                jobs.append((cfg, code))
-    sim_jobs = []
-    order = sorted(range(len(jobs)), key=lambda i: keys[i])
-    for rank, i in enumerate(order):
-        cfg, code = jobs[i]
-        sim_jobs.append(
-            (
-                SimConfig(
-                    system=cfg,
-                    method=code,
-                    horizon=args.horizon,
-                    seed=args.seed + rank,
-                    fidelity=args.fidelity,
-                    warmup=args.warmup,
-                ),
-                args.reps,
-            )
-        )
-
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
+    run = {"horizon": args.horizon, "fidelity": args.fidelity, "warmup": args.warmup}
+    jobs = [
+        (SimConfig(cfg, cmp.cost_of(method).method, seed=args.seed + rank, **run), args.reps, geom)
+        for rank, (cfg, method, cmp, geom) in enumerate(_sweep(args, _methods(args)))
+    ]
     workers = int(os.environ.get("D2DCACHE_THREADS", "0")) or 1
-    if workers > 1 and len(sim_jobs) > 1:
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(_sim_job, sim_jobs))
+            lines = list(pool.map(_sim_job, jobs))
     else:
-        lines = [_sim_job(j) for j in sim_jobs]
+        lines = [_sim_job(j) for j in jobs]
 
     header = (
         "method,n,k,d,omega,sigma,reconstruction,repair,storage,total,"
@@ -262,56 +188,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gain(args) -> int:
-    base = _base_config(args)
-    methods = _methods(args)
-    ranges = _ranges(args)
-    omegas = _parse_grid(args.omega_grid)
     rows = []
-    for v in _vs(args, base):
-        n_max = max(ranges.replication_n[1], ranges.coded_n[1])
-        geom = build_geometry_table(_make_cfg(base, v=v), n_max)
-        for sigma in _sigmas(args, base):
-            for omega in omegas:
-                cfg = _make_cfg(base, sigma=sigma, omega=float(omega), v=v)
-                for method in methods:
-                    cost = _optimized(cfg, method, ranges, geom)
-                    gain = operator_gain(cfg, cost, geom)
-                    rows.append(
-                        (sigma, float(omega), method, v,
-                         f"{omega!r},{v!r},{sigma!r},{method},{gain!r},{math.log10(gain)!r}")
-                    )
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    header = "omega,v,sigma,method,gain,log10_gain"
-    _write(args, "gain_sweep.csv", [header] + [r[4] for r in rows])
+    for cfg, method, cmp, geom in _sweep(args, _methods(args)):
+        gain = operator_gain(cfg, cmp.cost_of(method), geom)
+        rows.append(
+            f"{cfg.omega!r},{cfg.v!r},{cfg.sigma!r},{method},{gain!r},{math.log10(gain)!r}"
+        )
+    _write(args, "gain_sweep.csv", ["omega,v,sigma,method,gain,log10_gain"] + rows)
     return 0
 
 
 def cmd_tables(args) -> int:
-    base = _base_config(args)
-    ranges = _ranges(args)
-    omegas = _parse_grid(args.omega_grid)
-    n_max = max(ranges.replication_n[1], ranges.coded_n[1])
-    geom = build_geometry_table(_make_cfg(base), n_max)
     rows = []
-    for sigma in _sigmas(args, base):
-        for omega in omegas:
-            cfg = _make_cfg(base, sigma=sigma, omega=float(omega))
-            cmp = best_method(cfg, ranges, geom)
-            msr_vs_rep = 100.0 * (1.0 - cmp.msr.cost.total / cmp.replication.cost.total)
-            b = {
-                Scheme.SIMPLE: cmp.simple.method,
-                Scheme.REPLICATION: cmp.replication.best,
-                Scheme.MSR: cmp.msr.best,
-                Scheme.MBR: cmp.mbr.best,
-            }[cmp.winner]
-            rows.append(
-                (sigma, float(omega),
-                 f"{math.log10(omega)!r},{sigma!r},{cmp.winner.value},{b.n},{b.k},{b.d},"
-                 f"{100.0 * cmp.savings_vs_simple!r},{msr_vs_rep!r}")
-            )
-    rows.sort(key=lambda r: (r[0], r[1]))
+    for cfg, _, cmp, _ in _sweep(args, [None]):
+        b = cmp.cost_of(cmp.winner).method
+        msr_vs_rep = 100.0 * (1.0 - cmp.msr.cost.total / cmp.replication.cost.total)
+        rows.append(
+            f"{math.log10(cfg.omega)!r},{cfg.sigma!r},{cmp.winner.value},{b.n},{b.k},{b.d},"
+            f"{100.0 * cmp.savings_vs_simple!r},{msr_vs_rep!r}"
+        )
     header = "log10_omega,sigma,best_method,n,k,d,savings_vs_simple_pct,msr_vs_replication_pct"
-    _write(args, "savings_tables.csv", [header] + [r[2] for r in rows])
+    _write(args, "savings_tables.csv", [header] + rows)
     return 0
 
 

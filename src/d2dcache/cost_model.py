@@ -8,6 +8,7 @@ simulator provides the empirical check.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ class SystemConfig:
     theta: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"config field {name} must be finite, got {value}")
         if self.m <= 1.0:
             raise ValueError(f"expected node count must exceed 1, got m={self.m}")
         if self.lam <= 0.0 or self.omega <= 0.0:
@@ -141,9 +145,9 @@ def regenerating_cost(cfg: SystemConfig, code: CodeSpec, geom: GeometryTable) ->
     n, k, d = code.n, code.k, code.d
     if n >= cfg.m:
         raise ValueError(f"storage degree n={n} must be below m={cfg.m}")
-    rec_storage = n * cfg.omega * code.alpha * sum(geom.link(i, n - 1) for i in range(1, k))
-    rec_empty = (cfg.m - n) * cfg.omega * code.alpha * sum(geom.link(i, n) for i in range(1, k + 1))
-    repair = n * cfg.lam * code.beta * sum(geom.link(i, n - 1) for i in range(1, d + 1))
+    rec_storage = n * cfg.omega * code.alpha * geom.nearest_sum(k - 1, n - 1)
+    rec_empty = (cfg.m - n) * cfg.omega * code.alpha * geom.nearest_sum(k, n)
+    repair = n * cfg.lam * code.beta * geom.nearest_sum(d, n - 1)
     storage = n * code.alpha * cfg.sigma
     return CostBreakdown.make(rec_storage + rec_empty, repair, storage, code)
 

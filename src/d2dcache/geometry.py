@@ -94,18 +94,7 @@ def _below_rank_prob(x: float, n: int, q: int, r: float, t: float) -> float:
 
 def expected_neighbor_distance(n: int, q: int, r: float, t: float) -> float:
     """Expected distance from a point at offset t to its q-th nearest of n nodes."""
-    _check_rank(n, q)
-    if not 0.0 <= t <= r:
-        raise ValueError(f"offset must satisfy 0 <= t <= r, got t={t}, r={r}")
-
-    def integrand(x: float) -> float:
-        return _below_rank_prob(x, n, q, r, t)
-
-    val, _ = quad(integrand, 0.0, r, **_INNER_QUAD)
-    if t > 0.0:
-        tail, _ = quad(integrand, r, r + t, **_INNER_QUAD)
-        val += tail
-    return val
+    return expected_neighbor_distance_power(n, q, r, t, gamma=1.0)
 
 
 def expected_neighbor_distance_power(
@@ -113,8 +102,7 @@ def expected_neighbor_distance_power(
 ) -> float:
     """Expected gamma-th power of the q-th nearest-neighbor distance.
 
-    Integrates gamma * x^(gamma-1) against the distance ccdf; reduces to
-    expected_neighbor_distance at gamma = 1.
+    Integrates gamma * x^(gamma-1) against the distance ccdf.
     """
     _check_rank(n, q)
     if not 0.0 <= t <= r:
@@ -192,6 +180,13 @@ class GeometryTable:
     def link(self, q: int, n: int) -> float:
         _check_rank(n, q)
         return self.entries[(q, n)]
+
+    def nearest_sum(self, count: int, n: int) -> float:
+        """Sum of L(q, n) over q = 1..count: one data unit from each of the
+        count nearest of n storage nodes."""
+        if not 0 <= count <= n:
+            raise ValueError(f"need 0 <= count <= n, got count={count}, n={n}")
+        return sum(self.entries[(q, n)] for q in range(1, count + 1))
 
     def to_json(self) -> str:
         def f(x: float) -> str:

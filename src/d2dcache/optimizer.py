@@ -60,11 +60,9 @@ def _minimize(
     cfg: SystemConfig, candidates: list[CodeSpec], costs: list[CostBreakdown], geom: GeometryTable
 ) -> OptimizationResult:
     frontier = [(code, cost.total) for code, cost in zip(candidates, costs)]
-    order = sorted(range(len(candidates)), key=lambda i: (candidates[i].n, candidates[i].k, candidates[i].d))
-    best_i = order[0]
-    for i in order[1:]:
-        if costs[i].total < costs[best_i].total:
-            best_i = i
+    # candidates come in lexicographic (n, k, d) order and min keeps the
+    # first of equal totals, so ties go to the smallest (n, k, d)
+    best_i = min(range(len(candidates)), key=lambda i: costs[i].total)
     simple_total = simple_caching_cost(cfg, geom).total
     return OptimizationResult(
         best=candidates[best_i],
@@ -104,6 +102,14 @@ class MethodComparison:
     mbr: OptimizationResult
     winner: Scheme
     savings_vs_simple: float
+
+    def cost_of(self, scheme: Scheme | str) -> CostBreakdown:
+        """Optimized cost of one method."""
+        scheme = Scheme(scheme)
+        if scheme is Scheme.SIMPLE:
+            return self.simple
+        results = {Scheme.REPLICATION: self.replication, Scheme.MSR: self.msr, Scheme.MBR: self.mbr}
+        return results[scheme].cost
 
 
 def best_method(cfg: SystemConfig, ranges: SearchRanges, geom: GeometryTable) -> MethodComparison:

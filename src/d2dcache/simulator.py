@@ -218,9 +218,9 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
     counters = dict.fromkeys(COUNTER_NAMES, 0)
 
     # expected per-event charges for chain fidelity
-    req_storage_cost = code.alpha * sum(geom.link(i, n - 1) for i in range(1, k))
-    req_empty_cost = code.alpha * sum(geom.link(i, n) for i in range(1, k + 1))
-    repair_cost = code.beta * sum(geom.link(i, n - 1) for i in range(1, d + 1))
+    req_storage_cost = code.alpha * geom.nearest_sum(k - 1, n - 1)
+    req_empty_cost = code.alpha * geom.nearest_sum(k, n)
+    repair_cost = code.beta * geom.nearest_sum(d, n - 1)
 
     pop = round(m)
     if pop <= n:

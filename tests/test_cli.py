@@ -86,6 +86,18 @@ class TestSweepCommands:
         row = (tmp_path / "cost_sweep.csv").read_text().splitlines()[1]
         assert float(row.split(",")[5]) == 0.5
 
+    def test_single_v_is_honoured(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"v": 10.0}))
+        args = ("cost", "--omega-grid=-2:-2:1", "--methods", "simple", "--rep-n", "2:3",
+                "--coded-n", "3:3")
+        run_cli(tmp_path / "flag", *args, "--v", "10")
+        run_cli(tmp_path / "file", *args, "--config", str(cfg))
+        run_cli(tmp_path / "default", *args)
+        flag = (tmp_path / "flag/cost_sweep.csv").read_bytes()
+        assert flag == (tmp_path / "file/cost_sweep.csv").read_bytes()
+        assert flag != (tmp_path / "default/cost_sweep.csv").read_bytes()
+
     def test_sweep_reproducible_bytes(self, tmp_path):
         args = ("optimize", "--omega-grid=-2:-1:3", "--sigma", "2", "--sigma", "100")
         run_cli(tmp_path / "a", *args)
@@ -156,6 +168,20 @@ class TestErrorHandling:
     def test_infeasible_geometry(self, tmp_path):
         # base station inside the cluster radius is rejected
         assert run_cli(tmp_path, "geometry", "--v", "0.5") == 1
+
+    def test_several_v_outside_gain(self, tmp_path, capsys):
+        # only gain has a v column, so the other commands would drop all but one
+        for command in ("cost", "optimize", "tables", "simulate", "geometry"):
+            assert run_cli(tmp_path, command, "--v", "10", "--v", "20") == 1
+            assert "single --v" in capsys.readouterr().err
+
+    def test_reps_must_be_positive(self, tmp_path):
+        for reps in ("0", "-3"):
+            assert run_cli(tmp_path, "simulate", "--reps", reps) == 1
+
+    def test_non_finite_input(self, tmp_path):
+        assert run_cli(tmp_path, "cost", "--omega-grid=nan:0:2") == 1
+        assert run_cli(tmp_path, "cost", "--m", "inf") == 1
 
     def test_verify_unknown_criterion(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--criteria", "99") == 1

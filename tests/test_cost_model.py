@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -38,6 +39,10 @@ class TestSystemConfig:
             SystemConfig(sigma=-1.0)
         with pytest.raises(ValueError):
             SystemConfig(theta=0.0)
+        for name in SystemConfig().to_dict():
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    SystemConfig(**{name: bad})
 
     def test_warns_above_failure_rate(self):
         with pytest.warns(UserWarning, match="low-popularity"):

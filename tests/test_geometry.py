@@ -240,6 +240,13 @@ class TestGeometryTable:
                 for q in range(1, n):
                     assert t.link(q, n) <= t.link(q, n - 1)
 
+    def test_nearest_sum(self, table):
+        assert table.nearest_sum(0, 4) == 0.0
+        assert table.nearest_sum(3, 4) == table.link(1, 4) + table.link(2, 4) + table.link(3, 4)
+        for count in (-1, 5):
+            with pytest.raises(ValueError):
+                table.nearest_sum(count, 4)
+
     def test_json_round_trip(self, table):
         again = GeometryTable.from_json(table.to_json())
         assert again == table

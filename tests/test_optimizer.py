@@ -4,7 +4,7 @@ import pytest
 
 from d2dcache.codes import Scheme
 from d2dcache.cost_model import SystemConfig, regenerating_cost, replication_cost
-from d2dcache.geometry import build_geometry_table
+from d2dcache.geometry import GeometryTable, build_geometry_table
 from d2dcache.optimizer import (
     SearchRanges,
     best_method,
@@ -87,6 +87,18 @@ class TestOptimization:
             a = optimize_regenerating(lo, scheme, SearchRanges(), geom)
             b = optimize_regenerating(hi, scheme, SearchRanges(), geom)
             assert a.best == b.best
+
+    def test_ties_go_to_smallest_parameters(self):
+        # free links and free storage make every candidate cost 0
+        entries = {(q, n): 0.0 for n in range(1, 7) for q in range(1, n + 1)}
+        zero = GeometryTable(
+            r=1.0, gamma_d2d=4.0, gamma_bs=2.0, v=20.0, bs_cost=1.0, entries=entries
+        )
+        cfg = SystemConfig(sigma=0.0)
+        assert optimize_replication(cfg, SearchRanges(), zero).best.n == 2
+        for scheme in (Scheme.MSR, Scheme.MBR):
+            best = optimize_regenerating(cfg, scheme, SearchRanges(), zero).best
+            assert (best.n, best.k, best.d) == (3, 1, 1)
 
     def test_requires_coded_scheme(self, geom):
         with pytest.raises(ValueError):
