@@ -12,8 +12,6 @@ from .cost_model import (
     downlink_cost,
     method_cost,
     operator_gain,
-    regenerating_cost,
-    replication_cost,
     simple_caching_cost,
     upkeep_cost,
 )
@@ -42,8 +40,7 @@ from .optimizer import (
     OptimizationResult,
     SearchRanges,
     best_method,
-    optimize_regenerating,
-    optimize_replication,
+    optimize,
 )
 from .simulator import SimConfig, SimResult, replicate, simulate
 
@@ -52,14 +49,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeSpec", "FeasibilityError", "Scheme", "make_code", "mbr_point", "msr_point",
     "CostBreakdown", "SystemConfig", "downlink_cost", "method_cost", "operator_gain",
-    "regenerating_cost", "replication_cost", "simple_caching_cost", "upkeep_cost",
+    "simple_caching_cost", "upkeep_cost",
     "GeometryTable", "base_station_cost", "build_geometry_table",
     "circle_intersection_area", "coverage_probability", "expected_neighbor_distance",
     "expected_neighbor_distance_power", "link_cost",
     "CachingChainState", "PopulationDistribution", "SolverError",
     "base_station_request_fraction", "poisson_steady_state", "poisson_tail_at_or_below",
     "simple_caching_steady_state", "zeta_recursion_residual",
-    "MethodComparison", "OptimizationResult", "SearchRanges", "best_method",
-    "optimize_regenerating", "optimize_replication",
+    "MethodComparison", "OptimizationResult", "SearchRanges", "best_method", "optimize",
     "SimConfig", "SimResult", "replicate", "simulate",
 ]

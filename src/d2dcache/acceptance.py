@@ -25,7 +25,7 @@ from .markov import (
     simple_caching_steady_state,
     zeta_recursion_residual,
 )
-from .optimizer import SearchRanges, best_method, optimize_regenerating, optimize_replication
+from .optimizer import SearchRanges, best_method, optimize
 from .simulator import SimConfig, simulate
 
 
@@ -92,8 +92,8 @@ def table_ii_reproduction() -> CriterionResult:
     passed = True
     for lw, want_pct in expected.items():
         cfg = _cfg(100.0, 10.0**lw)
-        rep = optimize_replication(cfg, ranges, geom)
-        msr = optimize_regenerating(cfg, Scheme.MSR, ranges, geom)
+        rep = optimize(cfg, Scheme.REPLICATION, ranges, geom)
+        msr = optimize(cfg, Scheme.MSR, ranges, geom)
         got_pct = 100.0 * (1.0 - msr.cost.total / rep.cost.total)
         if abs(got_pct - want_pct) > 1.5:
             passed = False
@@ -112,7 +112,7 @@ def operator_gain_anchor() -> CriterionResult:
 
     def log_gain(omega: float, v: float) -> float:
         cfg = _cfg(100.0, omega, v=v, theta=1.0)
-        msr = optimize_regenerating(cfg, Scheme.MSR, ranges, default_table(v))
+        msr = optimize(cfg, Scheme.MSR, ranges, default_table(v))
         return math.log10(operator_gain(cfg, msr.cost, default_table(v)))
 
     anchor = log_gain(0.1, 20.0)
@@ -128,19 +128,19 @@ def optimal_parameter_checks() -> CriterionResult:
     geom = default_table()
     ranges = SearchRanges()
     rep_ns = {
-        optimize_replication(_cfg(0.01, 10.0**lw), ranges, geom).best.n
+        optimize(_cfg(0.01, 10.0**lw), Scheme.REPLICATION, ranges, geom).best.n
         for lw in np.linspace(-3.0, 0.0, 13)
     }
     rep_ok = rep_ns == {6}
 
-    high = optimize_regenerating(_cfg(100.0, 0.1), Scheme.MSR, ranges, geom).best
+    high = optimize(_cfg(100.0, 0.1), Scheme.MSR, ranges, geom).best
     high_ok = (high.n, high.k, high.d) == (6, 5, 5)
 
     grid = np.linspace(-4.0, 0.0, 33)
     dk_hits = sum(
         1
         for lw in grid
-        if (b := optimize_regenerating(_cfg(100.0, 10.0**lw), Scheme.MSR, ranges, geom).best).d == b.k
+        if (b := optimize(_cfg(100.0, 10.0**lw), Scheme.MSR, ranges, geom).best).d == b.k
     )
     dk_ok = dk_hits >= 0.9 * len(grid)
     passed = rep_ok and high_ok and dk_ok

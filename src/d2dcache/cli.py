@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -79,10 +78,7 @@ def _base_config(args) -> dict:
 
 
 def _make_cfg(base: dict, **overrides) -> SystemConfig:
-    merged = {**base, **overrides}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SystemConfig(**merged)
+    return SystemConfig(**{**base, **overrides})
 
 
 def _methods(args) -> list[str]:

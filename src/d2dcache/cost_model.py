@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .codes import CodeSpec, FeasibilityError, Scheme, make_code
+from .codes import CodeSpec, Scheme, make_code
 from .geometry import GeometryTable, base_station_cost
 
 
@@ -54,7 +54,7 @@ class SystemConfig:
             warnings.warn(
                 f"omega={self.omega} >= lam={self.lam}: outside the assumed "
                 "low-popularity regime (omega < lam)",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to the caller
             )
 
     def to_dict(self) -> dict:
@@ -123,25 +123,17 @@ def simple_caching_cost(cfg: SystemConfig, geom: GeometryTable) -> CostBreakdown
     return CostBreakdown.make(reconstruction, 0.0, storage, make_code(Scheme.SIMPLE, 1))
 
 
-def replication_cost(cfg: SystemConfig, n: int, geom: GeometryTable) -> CostBreakdown:
-    """Cost rate of n-replication: nearest-replica requests plus full-copy repairs."""
-    if not 2 <= n < cfg.m:
-        raise ValueError(f"replication degree must satisfy 2 <= n < m, got n={n}, m={cfg.m}")
-    reconstruction = (cfg.m - n) * cfg.omega * geom.link(1, n)
-    repair = n * cfg.lam * geom.link(1, n - 1)
-    storage = n * cfg.sigma
-    return CostBreakdown.make(reconstruction, repair, storage, make_code(Scheme.REPLICATION, n))
+def method_cost(cfg: SystemConfig, code: CodeSpec, geom: GeometryTable) -> CostBreakdown:
+    """Cost rate of any method; simple caching is the one special case.
 
-
-def regenerating_cost(cfg: SystemConfig, code: CodeSpec, geom: GeometryTable) -> CostBreakdown:
-    """Cost rate of an MSR/MBR code.
-
-    Storage-node requesters fetch alpha from each of their k-1 nearest
-    fellow storage nodes; empty requesters from their k nearest of n;
-    a newcomer repairs by pulling beta from its d nearest survivors.
+    For an (n, k, d) code, storage-node requesters fetch alpha from each
+    of their k-1 nearest fellow storage nodes; empty requesters from
+    their k nearest of n; a newcomer repairs by pulling beta from its d
+    nearest survivors. Replication is the (n, 1, 1) code with
+    alpha = beta = 1: nearest-replica requests plus full-copy repairs.
     """
-    if code.scheme not in (Scheme.MSR, Scheme.MBR):
-        raise FeasibilityError(f"regenerating cost needs an MSR/MBR code, got {code.scheme.value}")
+    if code.scheme is Scheme.SIMPLE:
+        return simple_caching_cost(cfg, geom)
     n, k, d = code.n, code.k, code.d
     if n >= cfg.m:
         raise ValueError(f"storage degree n={n} must be below m={cfg.m}")
@@ -150,15 +142,6 @@ def regenerating_cost(cfg: SystemConfig, code: CodeSpec, geom: GeometryTable) ->
     repair = n * cfg.lam * code.beta * geom.nearest_sum(d, n - 1)
     storage = n * code.alpha * cfg.sigma
     return CostBreakdown.make(rec_storage + rec_empty, repair, storage, code)
-
-
-def method_cost(cfg: SystemConfig, code: CodeSpec, geom: GeometryTable) -> CostBreakdown:
-    """Dispatch to the per-scheme cost formula."""
-    if code.scheme is Scheme.SIMPLE:
-        return simple_caching_cost(cfg, geom)
-    if code.scheme is Scheme.REPLICATION:
-        return replication_cost(cfg, code.n, geom)
-    return regenerating_cost(cfg, code, geom)
 
 
 def downlink_cost(cfg: SystemConfig, geom: GeometryTable | None = None) -> float:

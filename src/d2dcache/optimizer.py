@@ -10,19 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codes import CodeSpec, Scheme, make_code
-from .cost_model import (
-    CostBreakdown,
-    SystemConfig,
-    regenerating_cost,
-    replication_cost,
-    simple_caching_cost,
-)
+from .cost_model import CostBreakdown, SystemConfig, method_cost, simple_caching_cost
 from .geometry import GeometryTable
 
 
 @dataclass(frozen=True)
 class SearchRanges:
-    """Inclusive storage-degree ranges; k, d range implicitly over 1 <= k <= d <= n-1."""
+    """Inclusive storage-degree ranges; k, d range implicitly over 1 <= k <= d <= n-1.
+
+    Replication is the (n, 1, 1) code and searches replication_n; MSR and
+    MBR search coded_n. The search keeps only the candidates with n < m.
+    """
 
     replication_n: tuple[int, int] = (2, 6)
     coded_n: tuple[int, int] = (3, 6)
@@ -37,59 +35,34 @@ class SearchRanges:
 class OptimizationResult:
     best: CodeSpec
     cost: CostBreakdown
-    savings_vs_simple: float
     frontier: list[tuple[CodeSpec, float]] = field(repr=False)
 
 
-def replication_candidates(ranges: SearchRanges) -> list[CodeSpec]:
-    lo, hi = ranges.replication_n
-    return [make_code(Scheme.REPLICATION, n) for n in range(lo, hi + 1)]
-
-
-def coded_candidates(scheme: Scheme, ranges: SearchRanges) -> list[CodeSpec]:
+def candidates(scheme: Scheme, ranges: SearchRanges) -> list[CodeSpec]:
+    """Every code of one redundant method in the search, in lexicographic (n, k, d) order."""
+    scheme = Scheme(scheme)
+    if scheme is Scheme.SIMPLE:
+        raise ValueError("simple caching has no parameters to search")
+    if scheme is Scheme.REPLICATION:
+        lo, hi = ranges.replication_n
+        return [make_code(scheme, n) for n in range(lo, hi + 1)]
     lo, hi = ranges.coded_n
-    out = []
-    for n in range(lo, hi + 1):
-        for k in range(1, n):
-            for d in range(k, n):
-                out.append(make_code(scheme, n, k, d))
-    return out
+    return [
+        make_code(scheme, n, k, d) for n in range(lo, hi + 1) for k in range(1, n) for d in range(k, n)
+    ]
 
 
-def _minimize(
-    cfg: SystemConfig, candidates: list[CodeSpec], costs: list[CostBreakdown], geom: GeometryTable
-) -> OptimizationResult:
-    frontier = [(code, cost.total) for code, cost in zip(candidates, costs)]
-    # candidates come in lexicographic (n, k, d) order and min keeps the
-    # first of equal totals, so ties go to the smallest (n, k, d)
-    best_i = min(range(len(candidates)), key=lambda i: costs[i].total)
-    simple_total = simple_caching_cost(cfg, geom).total
-    return OptimizationResult(
-        best=candidates[best_i],
-        cost=costs[best_i],
-        savings_vs_simple=1.0 - costs[best_i].total / simple_total,
-        frontier=frontier,
-    )
-
-
-def optimize_replication(
-    cfg: SystemConfig, ranges: SearchRanges, geom: GeometryTable
-) -> OptimizationResult:
-    """Minimize the replication cost over the storage degree n."""
-    candidates = replication_candidates(ranges)
-    costs = [replication_cost(cfg, c.n, geom) for c in candidates]
-    return _minimize(cfg, candidates, costs, geom)
-
-
-def optimize_regenerating(
+def optimize(
     cfg: SystemConfig, scheme: Scheme, ranges: SearchRanges, geom: GeometryTable
 ) -> OptimizationResult:
-    """Minimize the MSR or MBR cost over all feasible (n, k, d)."""
-    if scheme not in (Scheme.MSR, Scheme.MBR):
-        raise ValueError(f"expected msr or mbr, got {scheme}")
-    candidates = coded_candidates(scheme, ranges)
-    costs = [regenerating_cost(cfg, c, geom) for c in candidates]
-    return _minimize(cfg, candidates, costs, geom)
+    """Minimize one redundant method's cost over its candidates with n < m."""
+    codes = [code for code in candidates(scheme, ranges) if code.n < cfg.m]
+    if not codes:
+        raise ValueError(f"no {Scheme(scheme).value} candidate in the search has n < m={cfg.m}")
+    costs = [method_cost(cfg, code, geom) for code in codes]
+    # min keeps the first of equal totals, so ties go to the smallest (n, k, d)
+    best = min(costs, key=lambda c: c.total)
+    return OptimizationResult(best.method, best, [(c.method, c.total) for c in costs])
 
 
 @dataclass(frozen=True)
@@ -115,24 +88,16 @@ class MethodComparison:
 def best_method(cfg: SystemConfig, ranges: SearchRanges, geom: GeometryTable) -> MethodComparison:
     """Evaluate all four methods and pick the cheapest redundant one vs simple caching."""
     simple = simple_caching_cost(cfg, geom)
-    rep = optimize_replication(cfg, ranges, geom)
-    msr = optimize_regenerating(cfg, Scheme.MSR, ranges, geom)
-    mbr = optimize_regenerating(cfg, Scheme.MBR, ranges, geom)
-    ranked = sorted(
-        [
-            (rep.cost.total, Scheme.REPLICATION),
-            (msr.cost.total, Scheme.MSR),
-            (mbr.cost.total, Scheme.MBR),
-            (simple.total, Scheme.SIMPLE),
-        ],
-        key=lambda t: t[0],
+    rep, msr, mbr = (
+        optimize(cfg, scheme, ranges, geom) for scheme in (Scheme.REPLICATION, Scheme.MSR, Scheme.MBR)
     )
-    best_total, winner = ranked[0]
+    # min keeps the first of equal totals: replication, msr, mbr, then simple
+    best = min((rep.cost, msr.cost, mbr.cost, simple), key=lambda c: c.total)
     return MethodComparison(
         simple=simple,
         replication=rep,
         msr=msr,
         mbr=mbr,
-        winner=winner,
-        savings_vs_simple=1.0 - best_total / simple.total,
+        winner=best.method.scheme,
+        savings_vs_simple=1.0 - best.total / simple.total,
     )

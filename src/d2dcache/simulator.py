@@ -25,7 +25,7 @@ from scipy.stats import t as t_dist
 
 from .codes import CodeSpec, Scheme
 from .cost_model import SystemConfig
-from .geometry import GeometryTable, build_geometry_table
+from .geometry import GeometryTable
 
 COUNTER_NAMES = (
     "requests",
@@ -328,10 +328,8 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
     return _result(acc, counters)
 
 
-def simulate(config: SimConfig, geom: GeometryTable | None = None) -> SimResult:
+def simulate(config: SimConfig, geom: GeometryTable) -> SimResult:
     """Run one simulation; identical (config, geom) gives identical results."""
-    if geom is None:
-        geom = build_geometry_table(config.system, max(config.method.n, 1))
     rng = random.Random(config.seed)
     if config.method.scheme is Scheme.SIMPLE:
         return _sim_simple(config, geom, rng)
@@ -341,7 +339,7 @@ def simulate(config: SimConfig, geom: GeometryTable | None = None) -> SimResult:
 def replicate(
     config: SimConfig,
     n_reps: int,
-    geom: GeometryTable | None = None,
+    geom: GeometryTable,
     seeds: list[int] | None = None,
 ) -> SimResult:
     """Aggregate independent replications; 95% CI from the t-distribution.
@@ -351,8 +349,6 @@ def replicate(
     """
     if n_reps < 2:
         raise ValueError(f"need at least 2 replications, got {n_reps}")
-    if geom is None:
-        geom = build_geometry_table(config.system, max(config.method.n, 1))
     if seeds is None:
         children = np.random.SeedSequence(config.seed).spawn(n_reps)
         seeds = [int(c.generate_state(1)[0]) for c in children]

@@ -98,6 +98,18 @@ class TestSweepCommands:
         assert flag == (tmp_path / "file/cost_sweep.csv").read_bytes()
         assert flag != (tmp_path / "default/cost_sweep.csv").read_bytes()
 
+    def test_search_clipped_below_m(self, tmp_path):
+        # the default ranges reach n = 6; a 5-node cluster searches n <= 4 only
+        assert run_cli(tmp_path, "cost", "--m", "5", "--omega-grid=-2:-1:2") == 0
+        header, *rows = (tmp_path / "cost_sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 * 4
+        assert all(int(row.split(",")[1]) <= 4 for row in rows)
+
+    def test_regime_warning_reaches_the_user(self, tmp_path):
+        with pytest.warns(UserWarning, match="low-popularity"):
+            rc = run_cli(tmp_path, "cost", "--omega-grid=-1:1:3", "--methods", "simple")
+        assert rc == 0
+
     def test_sweep_reproducible_bytes(self, tmp_path):
         args = ("optimize", "--omega-grid=-2:-1:3", "--sigma", "2", "--sigma", "100")
         run_cli(tmp_path / "a", *args)
@@ -182,6 +194,12 @@ class TestErrorHandling:
     def test_non_finite_input(self, tmp_path):
         assert run_cli(tmp_path, "cost", "--omega-grid=nan:0:2") == 1
         assert run_cli(tmp_path, "cost", "--m", "inf") == 1
+
+    def test_no_candidate_below_m(self, tmp_path, capsys):
+        # MSR/MBR search n >= 3, so a 3-node cluster has nothing to search
+        assert run_cli(tmp_path, "cost", "--m", "3", "--omega-grid=-2:-2:1") == 1
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "msr" in err
 
     def test_verify_unknown_criterion(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--criteria", "99") == 1

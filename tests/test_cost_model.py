@@ -10,8 +10,6 @@ from d2dcache.cost_model import (
     downlink_cost,
     method_cost,
     operator_gain,
-    regenerating_cost,
-    replication_cost,
     simple_caching_cost,
     upkeep_cost,
 )
@@ -45,8 +43,10 @@ class TestSystemConfig:
                     SystemConfig(**{name: bad})
 
     def test_warns_above_failure_rate(self):
-        with pytest.warns(UserWarning, match="low-popularity"):
+        with pytest.warns(UserWarning, match="low-popularity") as record:
             SystemConfig(omega=2.0, lam=1.0)
+        # the warning points at the caller, not into the dataclass __init__
+        assert record[0].filename == __file__
 
 
 class TestCostFormulas:
@@ -73,17 +73,18 @@ class TestCostFormulas:
 
     def test_replication_closed_form(self, geom):
         cfg = SystemConfig()
-        c = replication_cost(cfg, 3, geom)
-        assert c.reconstruction == pytest.approx(97.0 * cfg.omega * geom.link(1, 3))
-        assert c.repair == pytest.approx(3.0 * cfg.lam * geom.link(1, 2))
-        assert c.storage == pytest.approx(3.0 * cfg.sigma)
+        c = method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom)
+        # the (n, 1, 1) code reproduces the replication products to the last bit
+        assert c.reconstruction == (cfg.m - 3) * cfg.omega * geom.link(1, 3)
+        assert c.repair == 3 * cfg.lam * geom.link(1, 2)
+        assert c.storage == 3 * cfg.sigma
 
     def test_single_unit_code_matches_replication(self, geom):
         # an (n, k=1, d=1) code moves whole copies, like replication
         cfg = SystemConfig()
         for n in (3, 4, 6):
-            coded = regenerating_cost(cfg, make_code(Scheme.MSR, n, 1, 1), geom)
-            rep = replication_cost(cfg, n, geom)
+            coded = method_cost(cfg, make_code(Scheme.MSR, n, 1, 1), geom)
+            rep = method_cost(cfg, make_code(Scheme.REPLICATION, n), geom)
             assert coded.reconstruction == pytest.approx(rep.reconstruction)
             assert coded.repair == pytest.approx(rep.repair)
             assert coded.storage == pytest.approx(rep.storage)
@@ -91,8 +92,8 @@ class TestCostFormulas:
     def test_storage_slope_in_sigma(self, geom):
         # d(total)/d(sigma) is the stored volume n * alpha
         code = make_code(Scheme.MBR, 5, 3, 4)
-        lo = regenerating_cost(SystemConfig(sigma=1.0), code, geom)
-        hi = regenerating_cost(SystemConfig(sigma=3.0), code, geom)
+        lo = method_cost(SystemConfig(sigma=1.0), code, geom)
+        hi = method_cost(SystemConfig(sigma=3.0), code, geom)
         assert hi.total - lo.total == pytest.approx(2.0 * 5 * code.alpha)
         assert hi.reconstruction == lo.reconstruction
         assert hi.repair == lo.repair
@@ -100,20 +101,20 @@ class TestCostFormulas:
     def test_rate_scaling(self, geom):
         # scaling both rates by c scales every transmission cost rate by c
         code = make_code(Scheme.MSR, 6, 5, 5)
-        base = regenerating_cost(SystemConfig(sigma=0.0), code, geom)
-        scaled = regenerating_cost(SystemConfig(lam=2.0, omega=0.02, sigma=0.0), code, geom)
+        base = method_cost(SystemConfig(sigma=0.0), code, geom)
+        scaled = method_cost(SystemConfig(lam=2.0, omega=0.02, sigma=0.0), code, geom)
         assert scaled.reconstruction == pytest.approx(2.0 * base.reconstruction)
         assert scaled.repair == pytest.approx(2.0 * base.repair)
 
     def test_replication_degree_bounds(self, geom):
         with pytest.raises(ValueError):
-            replication_cost(SystemConfig(), 1, geom)
+            method_cost(SystemConfig(), make_code(Scheme.REPLICATION, 1), geom)
         with pytest.raises(ValueError):
-            replication_cost(SystemConfig(m=5.0), 5, geom)
+            method_cost(SystemConfig(m=5.0), make_code(Scheme.REPLICATION, 5), geom)
 
     def test_csv_row_round_trips(self, geom):
         cfg = SystemConfig()
-        c = replication_cost(cfg, 3, geom)
+        c = method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom)
         fields = cost_csv_row(c, cfg).split(",")
         assert fields[0] == "replication"
         assert int(fields[1]) == 3
@@ -129,7 +130,7 @@ class TestOperatorEconomics:
 
     def test_upkeep_weights(self, geom):
         cfg = SystemConfig(theta=3.0)
-        c = replication_cost(cfg, 3, geom)
+        c = method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom)
         assert upkeep_cost(cfg, c) == pytest.approx(
             3.0 * (c.reconstruction + c.repair) + c.storage
         )
@@ -140,12 +141,12 @@ class TestOperatorEconomics:
         gains = []
         for theta in [1.0, 2.0, 4.0, 8.0]:
             cfg = SystemConfig(omega=0.1, theta=theta)
-            gains.append(operator_gain(cfg, replication_cost(cfg, 3, geom), geom))
+            gains.append(operator_gain(cfg, method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom), geom))
         assert all(b < a for a, b in zip(gains, gains[1:]))
 
     def test_gain_positive_definition(self, geom):
         cfg = SystemConfig(omega=0.1)
-        c = replication_cost(cfg, 3, geom)
+        c = method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom)
         assert operator_gain(cfg, c, geom) == pytest.approx(
             downlink_cost(cfg, geom) / upkeep_cost(cfg, c)
         )

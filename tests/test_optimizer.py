@@ -2,17 +2,10 @@ import dataclasses
 
 import pytest
 
-from d2dcache.codes import Scheme
-from d2dcache.cost_model import SystemConfig, regenerating_cost, replication_cost
+from d2dcache.codes import Scheme, make_code
+from d2dcache.cost_model import SystemConfig, method_cost
 from d2dcache.geometry import GeometryTable, build_geometry_table
-from d2dcache.optimizer import (
-    SearchRanges,
-    best_method,
-    coded_candidates,
-    optimize_regenerating,
-    optimize_replication,
-    replication_candidates,
-)
+from d2dcache.optimizer import SearchRanges, best_method, candidates, optimize
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +15,16 @@ def geom():
 
 class TestCandidateEnumeration:
     def test_replication_range(self):
-        cands = replication_candidates(SearchRanges(replication_n=(2, 6)))
+        cands = candidates(Scheme.REPLICATION, SearchRanges(replication_n=(2, 6)))
         assert [c.n for c in cands] == [2, 3, 4, 5, 6]
 
     def test_coded_count_small_range(self):
         # n=3 admits (k,d) in {(1,1),(1,2),(2,2)}
-        cands = coded_candidates(Scheme.MSR, SearchRanges(coded_n=(3, 3)))
+        cands = candidates(Scheme.MSR, SearchRanges(coded_n=(3, 3)))
         assert [(c.n, c.k, c.d) for c in cands] == [(3, 1, 1), (3, 1, 2), (3, 2, 2)]
 
     def test_coded_count_default_range(self):
-        cands = coded_candidates(Scheme.MBR, SearchRanges())
+        cands = candidates(Scheme.MBR, SearchRanges())
         # sum over n of n(n-1)/2 feasible (k, d) pairs
         assert len(cands) == sum(n * (n - 1) // 2 for n in range(3, 7))
 
@@ -43,9 +36,9 @@ class TestCandidateEnumeration:
 class TestOptimization:
     def test_replication_matches_brute_force(self, geom):
         cfg = SystemConfig(omega=0.01, sigma=0.01)
-        res = optimize_replication(cfg, SearchRanges(), geom)
+        res = optimize(cfg, Scheme.REPLICATION, SearchRanges(), geom)
         brute = min(
-            (replication_cost(cfg, n, geom).total, n) for n in range(2, 7)
+            (method_cost(cfg, make_code(Scheme.REPLICATION, n), geom).total, n) for n in range(2, 7)
         )
         assert res.cost.total == pytest.approx(brute[0])
         assert res.best.n == brute[1]
@@ -53,29 +46,29 @@ class TestOptimization:
     def test_regenerating_matches_brute_force(self, geom):
         for omega in (0.01, 0.1):
             cfg = SystemConfig(omega=omega, sigma=100.0)
-            res = optimize_regenerating(cfg, Scheme.MSR, SearchRanges(), geom)
+            res = optimize(cfg, Scheme.MSR, SearchRanges(), geom)
             brute = min(
-                (regenerating_cost(cfg, c, geom).total, (c.n, c.k, c.d))
-                for c in coded_candidates(Scheme.MSR, SearchRanges())
+                (method_cost(cfg, c, geom).total, (c.n, c.k, c.d))
+                for c in candidates(Scheme.MSR, SearchRanges())
             )
             assert res.cost.total == pytest.approx(brute[0])
             assert (res.best.n, res.best.k, res.best.d) == brute[1]
 
     def test_forced_single_candidate(self, geom):
         cfg = SystemConfig()
-        res = optimize_replication(cfg, SearchRanges(replication_n=(4, 4)), geom)
+        res = optimize(cfg, Scheme.REPLICATION, SearchRanges(replication_n=(4, 4)), geom)
         assert res.best.n == 4
         assert len(res.frontier) == 1
 
     def test_frontier_covers_all_candidates(self, geom):
-        res = optimize_regenerating(SystemConfig(), Scheme.MBR, SearchRanges(), geom)
-        assert len(res.frontier) == len(coded_candidates(Scheme.MBR, SearchRanges()))
+        res = optimize(SystemConfig(), Scheme.MBR, SearchRanges(), geom)
+        assert len(res.frontier) == len(candidates(Scheme.MBR, SearchRanges()))
         assert min(t for _, t in res.frontier) == pytest.approx(res.cost.total)
 
     def test_deterministic(self, geom):
         cfg = SystemConfig(omega=0.1)
-        a = optimize_regenerating(cfg, Scheme.MSR, SearchRanges(), geom)
-        b = optimize_regenerating(cfg, Scheme.MSR, SearchRanges(), geom)
+        a = optimize(cfg, Scheme.MSR, SearchRanges(), geom)
+        b = optimize(cfg, Scheme.MSR, SearchRanges(), geom)
         assert a == b
 
     def test_rescaling_argmin_invariance(self, geom):
@@ -84,8 +77,8 @@ class TestOptimization:
         lo = SystemConfig(omega=0.01, sigma=0.0)
         hi = SystemConfig(omega=0.05, lam=5.0, sigma=0.0)
         for scheme in (Scheme.MSR, Scheme.MBR):
-            a = optimize_regenerating(lo, scheme, SearchRanges(), geom)
-            b = optimize_regenerating(hi, scheme, SearchRanges(), geom)
+            a = optimize(lo, scheme, SearchRanges(), geom)
+            b = optimize(hi, scheme, SearchRanges(), geom)
             assert a.best == b.best
 
     def test_ties_go_to_smallest_parameters(self):
@@ -95,14 +88,29 @@ class TestOptimization:
             r=1.0, gamma_d2d=4.0, gamma_bs=2.0, v=20.0, bs_cost=1.0, entries=entries
         )
         cfg = SystemConfig(sigma=0.0)
-        assert optimize_replication(cfg, SearchRanges(), zero).best.n == 2
+        assert optimize(cfg, Scheme.REPLICATION, SearchRanges(), zero).best.n == 2
         for scheme in (Scheme.MSR, Scheme.MBR):
-            best = optimize_regenerating(cfg, scheme, SearchRanges(), zero).best
+            best = optimize(cfg, scheme, SearchRanges(), zero).best
             assert (best.n, best.k, best.d) == (3, 1, 1)
+        # replication, MSR and MBR all cost 0; replication comes first among them
+        assert best_method(cfg, SearchRanges(), zero).winner is Scheme.REPLICATION
 
     def test_requires_coded_scheme(self, geom):
-        with pytest.raises(ValueError):
-            optimize_regenerating(SystemConfig(), Scheme.REPLICATION, SearchRanges(), geom)
+        # replication is the (n, 1, 1) code; simple caching has nothing to search
+        with pytest.raises(ValueError, match="simple"):
+            optimize(SystemConfig(), Scheme.SIMPLE, SearchRanges(), geom)
+        with pytest.raises(ValueError, match="simple"):
+            candidates(Scheme.SIMPLE, SearchRanges())
+
+    def test_search_clipped_below_m(self, geom):
+        cfg = SystemConfig(m=5.0)
+        res = optimize(cfg, Scheme.MSR, SearchRanges(), geom)
+        assert max(code.n for code, _ in res.frontier) == 4
+        assert len(res.frontier) == 3 + 6  # n = 3 and n = 4
+        rep = optimize(cfg, Scheme.REPLICATION, SearchRanges(), geom)
+        assert [code.n for code, _ in rep.frontier] == [2, 3, 4]
+        with pytest.raises(ValueError, match="mbr.*m=3"):
+            optimize(SystemConfig(m=3.0), Scheme.MBR, SearchRanges(), geom)
 
 
 class TestBestMethod:
