@@ -6,7 +6,7 @@ operator-gain sweeps, savings tables, and the acceptance verification
 suite. All outputs are deterministic given a seed; sweep rows are sorted
 by (sigma, omega, method, v) so parallelism never changes bytes.
 
-Exit codes: 0 ok, 1 config error, 2 numerical/solver failure,
+Exit codes: 0 ok, 1 config or usage error, 2 numerical/solver failure,
 3 acceptance-verification failure.
 """
 
@@ -24,17 +24,26 @@ import numpy as np
 
 from . import acceptance
 from .codes import FeasibilityError
-from .cost_model import CSV_HEADER, SystemConfig, cost_csv_row, operator_gain
+from .cost_model import CostBreakdown, SystemConfig, operator_gain
 from .geometry import GeometryTable, build_geometry_table
 from .markov import SolverError
 from .optimizer import MethodComparison, SearchRanges, best_method
 from .simulator import COUNTER_NAMES, SimConfig, replicate, simulate
 
 ALL_METHODS = ("simple", "replication", "msr", "mbr")
+CSV_HEADER = "method,n,k,d,omega,sigma,reconstruction,repair,storage,total"
 
 
 class ConfigError(ValueError):
     pass
+
+
+def cost_csv_row(cost: CostBreakdown, cfg: SystemConfig) -> str:
+    c = cost.method
+    return (
+        f"{c.scheme.value},{c.n},{c.k},{c.d},{cfg.omega!r},{cfg.sigma!r},"
+        f"{cost.reconstruction!r},{cost.repair!r},{cost.storage!r},{cost.total!r}"
+    )
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -64,6 +73,8 @@ def _base_config(args) -> dict:
         unknown = set(doc) - set(base)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if "omega" in doc:
+            raise ConfigError("omega is swept by --omega-grid; drop it from the config file")
         base.update({k: float(v) for k, v in doc.items()})
     for f in ("m", "lam", "r", "gamma_d2d", "gamma_bs", "theta"):
         val = getattr(args, f, None)
@@ -149,13 +160,9 @@ def cmd_optimize(args) -> int:
 def _sim_job(job: tuple[SimConfig, int, GeometryTable]) -> str:
     cfg, reps, geom = job
     result = replicate(cfg, reps, geom) if reps > 1 else simulate(cfg, geom)
-    c = cfg.method
-    sys_cfg = cfg.system
-    rec, rep, sto = result.mean_components
     counters = ",".join(str(result.counters[n]) for n in COUNTER_NAMES)
     return (
-        f"{c.scheme.value},{c.n},{c.k},{c.d},{sys_cfg.omega!r},{sys_cfg.sigma!r},"
-        f"{rec!r},{rep!r},{sto!r},{result.mean_total!r},"
+        f"{cost_csv_row(result.cost, cfg.system)},"
         f"{result.ci95_halfwidth!r},{cfg.seed},{cfg.horizon!r},{cfg.fidelity},{counters}"
     )
 
@@ -175,9 +182,8 @@ def cmd_simulate(args) -> int:
     else:
         lines = [_sim_job(j) for j in jobs]
 
-    header = (
-        "method,n,k,d,omega,sigma,reconstruction,repair,storage,total,"
-        "ci95,seed,horizon,fidelity," + ",".join(f"counters.{n}" for n in COUNTER_NAMES)
+    header = CSV_HEADER + ",ci95,seed,horizon,fidelity," + ",".join(
+        f"counters.{n}" for n in COUNTER_NAMES
     )
     _write(args, "simulate_sweep.csv", [header] + lines)
     return 0
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", parents=[common], help="savings tables")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance suite")
+    p = sub.add_parser("verify", help="acceptance suite on the paper's configs")
     p.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
     p.set_defaults(func=cmd_verify)
 
@@ -278,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
-    args = parser.parse_args(raw)
+    try:
+        args = parser.parse_args(raw)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     # tables defaults to the published rows rather than the full grid
     if args.command == "tables" and not any(a.startswith("--omega-grid") for a in raw):
         args.omega_grid = "-3.5:0:8"

@@ -98,15 +98,18 @@ class CostBreakdown:
         )
 
 
-CSV_HEADER = "method,n,k,d,omega,sigma,reconstruction,repair,storage,total"
+Fetch = tuple[float, int, int]  # (units, nearest, among)
 
 
-def cost_csv_row(cost: CostBreakdown, cfg: SystemConfig) -> str:
-    c = cost.method
-    return (
-        f"{c.scheme.value},{c.n},{c.k},{c.d},{cfg.omega!r},{cfg.sigma!r},"
-        f"{cost.reconstruction!r},{cost.repair!r},{cost.storage!r},{cost.total!r}"
-    )
+def fetches(code: CodeSpec) -> tuple[Fetch, Fetch, Fetch]:
+    """What a storage-node request, an empty-node request and a repair
+    fetch: `units` from each of the `nearest` closest of `among` storage
+    nodes. Any k of the n fragments rebuild the file, and a newcomer pulls
+    beta from each of d survivors; replication is the (n, 1, 1) code with
+    alpha = beta = 1, so it moves whole copies from the nearest replica.
+    """
+    n, k, d = code.n, code.k, code.d
+    return (code.alpha, k - 1, n - 1), (code.alpha, k, n), (code.beta, d, n - 1)
 
 
 def simple_caching_cost(cfg: SystemConfig, geom: GeometryTable) -> CostBreakdown:
@@ -126,20 +129,19 @@ def simple_caching_cost(cfg: SystemConfig, geom: GeometryTable) -> CostBreakdown
 def method_cost(cfg: SystemConfig, code: CodeSpec, geom: GeometryTable) -> CostBreakdown:
     """Cost rate of any method; simple caching is the one special case.
 
-    For an (n, k, d) code, storage-node requesters fetch alpha from each
-    of their k-1 nearest fellow storage nodes; empty requesters from
-    their k nearest of n; a newcomer repairs by pulling beta from its d
-    nearest survivors. Replication is the (n, 1, 1) code with
-    alpha = beta = 1: nearest-replica requests plus full-copy repairs.
+    The n storage and m - n empty nodes each request at omega, each
+    storage node is repaired at lam, and every event pays its `fetches`.
     """
     if code.scheme is Scheme.SIMPLE:
         return simple_caching_cost(cfg, geom)
-    n, k, d = code.n, code.k, code.d
+    n = code.n
     if n >= cfg.m:
         raise ValueError(f"storage degree n={n} must be below m={cfg.m}")
-    rec_storage = n * cfg.omega * code.alpha * geom.nearest_sum(k - 1, n - 1)
-    rec_empty = (cfg.m - n) * cfg.omega * code.alpha * geom.nearest_sum(k, n)
-    repair = n * cfg.lam * code.beta * geom.nearest_sum(d, n - 1)
+    # (units, nearest, among) of a storage-node request, an empty-node request, a repair
+    (u_s, q_s, of_s), (u_e, q_e, of_e), (u_r, q_r, of_r) = fetches(code)
+    rec_storage = n * cfg.omega * u_s * geom.nearest_sum(q_s, of_s)
+    rec_empty = (cfg.m - n) * cfg.omega * u_e * geom.nearest_sum(q_e, of_e)
+    repair = n * cfg.lam * u_r * geom.nearest_sum(q_r, of_r)
     storage = n * code.alpha * cfg.sigma
     return CostBreakdown.make(rec_storage + rec_empty, repair, storage, code)
 

@@ -1,8 +1,9 @@
 """Event-driven Monte Carlo simulation of the caching cluster.
 
 The cluster population evolves as a continuous-time chain (arrivals at
-m*lam, per-node departures at lam, per-node requests at omega); costs
-accrue per event. Two fidelities:
+m*lam, per-node departures at lam, per-node requests at omega); each
+request or repair fetches what `cost_model.fetches` names, as in the
+closed form. Two fidelities:
 
 - "chain": every request/repair is charged its expected cost from the
   geometry table, so the run validates the chain dynamics alone.
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.stats import t as t_dist
 
 from .codes import CodeSpec, Scheme
-from .cost_model import SystemConfig
+from .cost_model import CostBreakdown, Fetch, SystemConfig, fetches
 from .geometry import GeometryTable
 
 COUNTER_NAMES = (
@@ -53,8 +54,8 @@ class SimConfig:
     warmup: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError(f"warmup fraction must be in [0, 1), got {self.warmup}")
         if self.fidelity not in ("chain", "spatial"):
@@ -63,25 +64,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical cost rates over the post-warmup window."""
+    """Empirical cost rates over the post-warmup window, in the closed
+    form's breakdown; ci95_halfwidth bounds cost.total."""
 
-    mean_total: float
-    mean_components: tuple[float, float, float]  # (reconstruction, repair, storage)
+    cost: CostBreakdown
     ci95_halfwidth: float
     counters: dict[str, int]
     mean_population: float
-
-    def to_dict(self) -> dict:
-        rec, rep, sto = self.mean_components
-        return {
-            "mean_total": self.mean_total,
-            "reconstruction": rec,
-            "repair": rep,
-            "storage": sto,
-            "ci95_halfwidth": self.ci95_halfwidth,
-            "mean_population": self.mean_population,
-            "counters": dict(self.counters),
-        }
 
 
 def _draw_position(rng: random.Random, r: float) -> tuple[float, float]:
@@ -95,7 +84,7 @@ def _powered(dx: float, dy: float, gamma: float) -> float:
 
 
 class _Accumulator:
-    """Cost and population accumulation restricted to [t0, t1]."""
+    """Cost, population and live-storage accumulation restricted to [t0, t1]."""
 
     def __init__(self, t0: float, t1: float) -> None:
         self.t0 = t0
@@ -104,23 +93,19 @@ class _Accumulator:
         self.rep = 0.0
         self.sto = 0.0
         self.pop_time = 0.0  # integral of population over the window
+        self.live_time = 0.0  # integral of live storage-node count
 
-    def dwell(self, a: float, b: float, pop: float) -> None:
+    def dwell(self, a: float, b: float, pop: float, live: int = 0) -> None:
         lo, hi = max(a, self.t0), min(b, self.t1)
         if hi > lo:
             self.pop_time += pop * (hi - lo)
-
-    @property
-    def window(self) -> float:
-        return self.t1 - self.t0
+            self.live_time += live * (hi - lo)
 
 
-def _result(acc: _Accumulator, counters: dict[str, int]) -> SimResult:
-    w = acc.window
-    rec, rep, sto = acc.rec / w, acc.rep / w, acc.sto / w
+def _result(acc: _Accumulator, counters: dict[str, int], method: CodeSpec) -> SimResult:
+    w = acc.t1 - acc.t0
     return SimResult(
-        mean_total=rec + rep + sto,
-        mean_components=(rec, rep, sto),
+        cost=CostBreakdown.make(acc.rec / w, acc.rep / w, acc.sto / w, method),
         ci95_halfwidth=math.nan,
         counters=counters,
         mean_population=acc.pop_time / w,
@@ -203,24 +188,26 @@ def _sim_simple(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> SimR
                 if rec:
                     acc.rec += cost
                     acc.sto += sigma  # charged once per caching cycle
-    return _result(acc, counters)
+    return _result(acc, counters, cfg.method)
 
 
 def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> SimResult:
     sys = cfg.system
     code = cfg.method
     m, lam, om, sigma = sys.m, sys.lam, sys.omega, sys.sigma
-    n, k, d = code.n, code.k, code.d
+    n = code.n
     horizon = cfg.horizon / lam
     acc = _Accumulator(cfg.warmup * horizon, horizon)
     spatial = cfg.fidelity == "spatial"
     storage_requests = code.scheme in (Scheme.MSR, Scheme.MBR)
     counters = dict.fromkeys(COUNTER_NAMES, 0)
 
+    events = fetches(code)
+    on_storage_req, on_empty_req, on_repair = events
     # expected per-event charges for chain fidelity
-    req_storage_cost = code.alpha * geom.nearest_sum(k - 1, n - 1)
-    req_empty_cost = code.alpha * geom.nearest_sum(k, n)
-    repair_cost = code.beta * geom.nearest_sum(d, n - 1)
+    req_storage_cost, req_empty_cost, repair_cost = (
+        units * geom.nearest_sum(nearest, among) for units, nearest, among in events
+    )
 
     pop = round(m)
     if pop <= n:
@@ -231,12 +218,12 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
         storage = [_draw_position(rng, sys.r) for _ in range(n)]
         empty_pos = [_draw_position(rng, sys.r) for _ in range(empties)]
 
-    def nearest_cost(px: float, py: float, others: list, count: int, weight: float) -> float:
+    def nearest_cost(px: float, py: float, others: list, fetch: Fetch) -> float:
+        units, nearest, _ = fetch
         d2 = sorted((ox - px) ** 2 + (oy - py) ** 2 for ox, oy in others)
         g = sys.gamma_d2d * 0.5
-        return weight * sum(v**g for v in d2[:count])
+        return units * sum(v**g for v in d2[:nearest])
 
-    sto_int = 0.0  # integral of live storage-node count
     t = 0.0
     while True:
         live = n - deficit
@@ -246,13 +233,10 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
         req_e = empties * om
         total = arr + dep + req_s + req_e
         t_next = t + rng.expovariate(total)
-        lo, hi = max(t, acc.t0), min(t_next, acc.t1)
-        if hi > lo:
-            sto_int += live * (hi - lo)
         if t_next >= horizon:
-            acc.dwell(t, horizon, pop)
+            acc.dwell(t, horizon, pop, live)
             break
-        acc.dwell(t, t_next, pop)
+        acc.dwell(t, t_next, pop, live)
         t = t_next
         rec = t >= acc.t0
         u = rng.random() * total
@@ -264,7 +248,7 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
                 counters["repairs"] += 1
                 deficit -= 1
                 if spatial:
-                    cost = nearest_cost(pos[0], pos[1], storage, d, code.beta)
+                    cost = nearest_cost(pos[0], pos[1], storage, on_repair)
                     storage.append(pos)
                 else:
                     cost = repair_cost
@@ -290,7 +274,7 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
                         newcomer = empty_pos[j]
                         empty_pos[j] = empty_pos[-1]
                         empty_pos.pop()
-                        cost = nearest_cost(newcomer[0], newcomer[1], storage, d, code.beta)
+                        cost = nearest_cost(newcomer[0], newcomer[1], storage, on_repair)
                         storage.append(newcomer)
                     else:
                         cost = repair_cost
@@ -313,19 +297,19 @@ def _sim_redundant(cfg: SimConfig, geom: GeometryTable, rng: random.Random) -> S
                     i = rng.randrange(len(storage))
                     px, py = storage[i]
                     others = storage[:i] + storage[i + 1 :]
-                    cost = nearest_cost(px, py, others, k - 1, code.alpha)
+                    cost = nearest_cost(px, py, others, on_storage_req)
                 else:
                     cost = req_storage_cost
             else:
                 if spatial:
                     px, py = empty_pos[rng.randrange(len(empty_pos))]
-                    cost = nearest_cost(px, py, storage, k, code.alpha)
+                    cost = nearest_cost(px, py, storage, on_empty_req)
                 else:
                     cost = req_empty_cost
             if rec:
                 acc.rec += cost
-    acc.sto = code.alpha * sigma * sto_int
-    return _result(acc, counters)
+    acc.sto = code.alpha * sigma * acc.live_time
+    return _result(acc, counters, code)
 
 
 def simulate(config: SimConfig, geom: GeometryTable) -> SimResult:
@@ -356,8 +340,10 @@ def replicate(
         raise ValueError(f"expected {n_reps} seeds, got {len(seeds)}")
 
     runs = [simulate(replace(config, seed=s), geom) for s in seeds]
-    totals = np.array([r.mean_total for r in runs])
-    comps = np.array([r.mean_components for r in runs]).mean(axis=0)
+    totals = np.array([r.cost.total for r in runs])
+    rec, rep, sto = np.array(
+        [(r.cost.reconstruction, r.cost.repair, r.cost.storage) for r in runs]
+    ).mean(axis=0)
     counters = {
         name: sum(r.counters[name] for r in runs) for name in COUNTER_NAMES
     }
@@ -365,8 +351,7 @@ def replicate(
         t_dist.ppf(0.975, n_reps - 1) * totals.std(ddof=1) / math.sqrt(n_reps)
     )
     return SimResult(
-        mean_total=float(comps.sum()),
-        mean_components=tuple(float(c) for c in comps),
+        cost=CostBreakdown.make(float(rec), float(rep), float(sto), config.method),
         ci95_halfwidth=halfwidth,
         counters=counters,
         mean_population=float(np.mean([r.mean_population for r in runs])),

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from d2dcache.cli import _parse_grid, _parse_range, main
-from d2dcache.geometry import GeometryTable
+from d2dcache.cli import _parse_grid, _parse_range, cost_csv_row, main
+from d2dcache.codes import Scheme, make_code
+from d2dcache.cost_model import SystemConfig, method_cost
+from d2dcache.geometry import GeometryTable, build_geometry_table
 
 
 def run_cli(tmp_path, *argv):
@@ -25,6 +27,17 @@ class TestParsing:
 
     def test_range(self):
         assert _parse_range("2:6") == (2, 6)
+
+
+class TestCostRows:
+    def test_csv_row_round_trips(self):
+        cfg = SystemConfig()
+        geom = build_geometry_table(cfg, n_max=3)
+        c = method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom)
+        fields = cost_csv_row(c, cfg).split(",")
+        assert fields[0] == "replication"
+        assert int(fields[1]) == 3
+        assert float(fields[-1]) == c.total
 
 
 class TestGeometryCommand:
@@ -201,5 +214,36 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "error: config:" in err and "msr" in err
 
-    def test_verify_unknown_criterion(self, tmp_path):
-        assert run_cli(tmp_path, "verify", "--criteria", "99") == 1
+    def test_verify_unknown_criterion(self, capsys):
+        assert main(["verify", "--criteria", "99"]) == 1
+        assert "unknown criteria" in capsys.readouterr().err
+
+    def test_verify_takes_only_criteria(self, capsys):
+        # verify runs the paper's fixed configs, so a sweep flag would be ignored
+        for flag in ("--m", "--out", "--sigma"):
+            assert main(["verify", flag, "5", "--criteria", "8"]) == 1
+            assert flag in capsys.readouterr().err
+
+    def test_usage_error_is_a_config_error(self, capsys):
+        assert main(["cost", "--m", "abc"]) == 1
+        assert "invalid float value" in capsys.readouterr().err
+        assert main(["frobnicate"]) == 1
+        assert main([]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["cost", "--help"]) == 0
+        assert "--omega-grid" in capsys.readouterr().out
+
+    def test_non_finite_horizon(self, tmp_path, capsys):
+        for horizon in ("nan", "inf"):
+            args = ("simulate", "--horizon", horizon, "--omega-grid=-2:-2:1", "--methods", "simple")
+            assert run_cli(tmp_path, *args) == 1
+            assert "horizon" in capsys.readouterr().err
+
+    def test_config_omega_is_rejected(self, tmp_path, capsys):
+        # every command takes omega from --omega-grid, so a file value would be dropped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 0.5}))
+        assert run_cli(tmp_path, "cost", "--config", str(cfg)) == 1
+        assert "--omega-grid" in capsys.readouterr().err

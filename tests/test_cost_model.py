@@ -6,8 +6,8 @@ import pytest
 from d2dcache.codes import Scheme, make_code
 from d2dcache.cost_model import (
     SystemConfig,
-    cost_csv_row,
     downlink_cost,
+    fetches,
     method_cost,
     operator_gain,
     simple_caching_cost,
@@ -112,13 +112,18 @@ class TestCostFormulas:
         with pytest.raises(ValueError):
             method_cost(SystemConfig(m=5.0), make_code(Scheme.REPLICATION, 5), geom)
 
-    def test_csv_row_round_trips(self, geom):
-        cfg = SystemConfig()
-        c = method_cost(cfg, make_code(Scheme.REPLICATION, 3), geom)
-        fields = cost_csv_row(c, cfg).split(",")
-        assert fields[0] == "replication"
-        assert int(fields[1]) == 3
-        assert float(fields[-1]) == c.total
+
+class TestFetchRule:
+    def test_regenerating_code(self):
+        code = make_code(Scheme.MBR, 5, 3, 4)
+        storage_req, empty_req, repair = fetches(code)
+        assert storage_req == (code.alpha, 2, 4)  # k-1 nearest of the n-1 others
+        assert empty_req == (code.alpha, 3, 5)  # k nearest of n
+        assert repair == (code.beta, 4, 4)  # d nearest of the n-1 survivors
+
+    def test_replication_moves_whole_copies(self):
+        # a storage node holds the file; others fetch one copy from the nearest
+        assert fetches(make_code(Scheme.REPLICATION, 3)) == ((1.0, 0, 2), (1.0, 1, 3), (1.0, 1, 2))
 
 
 class TestOperatorEconomics:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from d2dcache.codes import Scheme, make_code
@@ -28,6 +30,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(system=sys_cfg, method=code, fidelity="exact")
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, horizon):
+        # a run to an infinite (or NaN) horizon never ends
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(system=SystemConfig(), method=make_code(Scheme.SIMPLE), horizon=horizon)
+
 
 class TestDeterminismAndCounters:
     @pytest.mark.parametrize("fidelity", ["chain", "spatial"])
@@ -41,7 +49,7 @@ class TestDeterminismAndCounters:
         code = make_code(Scheme.REPLICATION, 3)
         _, a = run(geom, code, horizon=300.0, seed=1)
         _, b = run(geom, code, horizon=300.0, seed=2)
-        assert a.mean_total != b.mean_total
+        assert a.cost.total != b.cost.total
 
     def test_counters_consistent(self, geom):
         code = make_code(Scheme.MBR, 5, 3, 4)
@@ -60,6 +68,15 @@ class TestDeterminismAndCounters:
         assert res.counters["bs_downloads"] <= res.counters["requests"]
         assert res.counters["repairs"] == 0
 
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_cost_is_a_breakdown_of_the_method(self, geom, reps):
+        code = make_code(Scheme.MBR, 5, 3, 4)
+        cfg = SimConfig(system=SystemConfig(), method=code, horizon=200.0, seed=2)
+        res = replicate(cfg, reps, geom) if reps > 1 else simulate(cfg, geom)
+        c = res.cost
+        assert c.method == code
+        assert c.total == c.reconstruction + c.repair + c.storage
+
     def test_mean_population(self, geom):
         code = make_code(Scheme.REPLICATION, 3)
         _, res = run(geom, code, horizon=2000.0)
@@ -74,8 +91,8 @@ class TestAgainstClosedForms:
         code = make_code(Scheme.REPLICATION, 4)
         cfg = SimConfig(system=system, method=code, horizon=4000.0, seed=3)
         res = simulate(cfg, geom)
-        assert res.mean_components[0] == pytest.approx(0.0, abs=1e-6)
-        assert res.mean_total == pytest.approx(4.0 * geom.link(1, 3), rel=0.03)
+        assert res.cost.reconstruction == pytest.approx(0.0, abs=1e-6)
+        assert res.cost.total == pytest.approx(4.0 * geom.link(1, 3), rel=0.03)
 
     @pytest.mark.parametrize(
         "code",
@@ -89,26 +106,26 @@ class TestAgainstClosedForms:
     def test_chain_fidelity_tracks_analytic(self, geom, code):
         system, res = run(geom, code, omega=0.01, horizon=4000.0, seed=5)
         analytic = method_cost(system, code, geom)
-        assert res.mean_total == pytest.approx(analytic.total, rel=0.05)
+        assert res.cost.total == pytest.approx(analytic.total, rel=0.05)
 
     def test_spatial_fidelity_tracks_chain(self, geom):
         code = make_code(Scheme.MSR, 6, 5, 5)
         system, chain = run(geom, code, omega=0.1, horizon=4000.0, seed=5)
         _, spatial = run(geom, code, omega=0.1, horizon=4000.0, seed=5, fidelity="spatial")
-        assert spatial.mean_total == pytest.approx(chain.mean_total, rel=0.05)
+        assert spatial.cost.total == pytest.approx(chain.cost.total, rel=0.05)
 
     def test_simple_chain_tracks_analytic(self, geom):
         code = make_code(Scheme.SIMPLE)
         system, res = run(geom, code, omega=0.1, horizon=4000.0, seed=5)
         analytic = simple_caching_cost(system, geom)
-        assert res.mean_total == pytest.approx(analytic.total, rel=0.05)
+        assert res.cost.total == pytest.approx(analytic.total, rel=0.05)
 
     def test_storage_component_rate(self, geom):
         # storage accrues at n * alpha * sigma while no slot is starved
         code = make_code(Scheme.MBR, 5, 3, 4)
         system, res = run(geom, code, omega=0.01, sigma=10.0, horizon=2000.0)
         expected = 5 * code.alpha * 10.0
-        assert res.mean_components[2] == pytest.approx(expected, rel=0.01)
+        assert res.cost.storage == pytest.approx(expected, rel=0.01)
 
 
 class TestReplicate:
@@ -124,7 +141,7 @@ class TestReplicate:
         cfg = SimConfig(system=system, method=code, horizon=1000.0, seed=0)
         res = replicate(cfg, 8, geom)
         analytic = method_cost(system, code, geom).total
-        assert abs(res.mean_total - analytic) <= 5.0 * res.ci95_halfwidth
+        assert abs(res.cost.total - analytic) <= 5.0 * res.ci95_halfwidth
         assert res.counters["requests"] > 0
 
     def test_derived_seeds_reproducible(self, geom):
