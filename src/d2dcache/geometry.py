@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 from typing import TYPE_CHECKING, Mapping
 
@@ -172,6 +173,15 @@ class GeometryTable:
     v: float
     bs_cost: float
     entries: Mapping[tuple[int, int], float]
+    # _prefix[n][count] is nearest_sum(count, n), summed in q order from 0
+    _prefix: dict[int, list[float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        prefix = {
+            n: list(accumulate((self.entries[(q, n)] for q in range(1, n + 1)), initial=0.0))
+            for n in {n for _, n in self.entries}
+        }
+        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def n_max(self) -> int:
@@ -186,7 +196,7 @@ class GeometryTable:
         count nearest of n storage nodes."""
         if not 0 <= count <= n:
             raise ValueError(f"need 0 <= count <= n, got count={count}, n={n}")
-        return sum(self.entries[(q, n)] for q in range(1, count + 1))
+        return self._prefix[n][count] if count else 0.0
 
     def to_json(self) -> str:
         def f(x: float) -> str:

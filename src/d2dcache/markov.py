@@ -126,12 +126,17 @@ def simple_caching_steady_state(
         raise ValueError(f"truncation j_max={j_max} too small for m={m}")
 
     Q, states = generator_matrix(m, omega, lam, j_max)
-    N = len(states)
-    A = np.vstack([Q.T, np.ones(N)])
-    b = np.zeros(N + 1)
+    A = Q.T  # balance equations A p = 0; they sum to zero, so one is redundant
+    redundant = A[-1].copy()
+    A[-1] = 1.0  # normalization takes the redundant equation's place
+    b = np.zeros(len(states))
     b[-1] = 1.0
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.abs(A @ p - b).max())
+    try:
+        p = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"balance system singular at j_max={j_max}: {err}") from err
+    # residual of the full system: every balance equation and normalization
+    residual = max(float(np.abs(A @ p - b).max()), abs(float(redundant @ p)))
     if not np.isfinite(p).all() or residual > 1e-9 or p.min() < -1e-9:
         cond = float(np.linalg.cond(A))
         raise SolverError(

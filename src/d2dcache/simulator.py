@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtrit
 
 from .codes import CodeSpec, Scheme
 from .cost_model import CostBreakdown, Fetch, SystemConfig, fetches
@@ -348,7 +348,7 @@ def replicate(
         name: sum(r.counters[name] for r in runs) for name in COUNTER_NAMES
     }
     halfwidth = float(
-        t_dist.ppf(0.975, n_reps - 1) * totals.std(ddof=1) / math.sqrt(n_reps)
+        stdtrit(n_reps - 1, 0.975) * totals.std(ddof=1) / math.sqrt(n_reps)
     )
     return SimResult(
         cost=CostBreakdown.make(float(rec), float(rep), float(sto), config.method),

@@ -6,6 +6,7 @@ import pytest
 from d2dcache.markov import (
     CachingChainState,
     PopulationDistribution,
+    SolverError,
     base_station_request_fraction,
     default_truncation,
     generator_matrix,
@@ -113,6 +114,14 @@ class TestCachingChain:
             simple_caching_steady_state(m=-1.0, omega=0.01, lam=1.0)
         with pytest.raises(ValueError):
             simple_caching_steady_state(m=100.0, omega=0.01, lam=1.0, j_max=50)
+
+    def test_singular_system_is_a_solver_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SolverError, match="singular"):
+            simple_caching_steady_state(m=30.0, omega=0.02, lam=1.0, j_max=200)
 
 
 class TestBaseStationFraction:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -143,6 +144,18 @@ class TestReplicate:
         analytic = method_cost(system, code, geom).total
         assert abs(res.cost.total - analytic) <= 5.0 * res.ci95_halfwidth
         assert res.counters["requests"] > 0
+
+    def test_interval_is_student_t(self, geom):
+        from scipy.stats import t
+
+        code = make_code(Scheme.REPLICATION, 3)
+        cfg = SimConfig(system=SystemConfig(), method=code, horizon=200.0, seed=0)
+        seeds = [1, 2, 3, 4]
+        res = replicate(cfg, 4, geom, seeds=seeds)
+        totals = [simulate(replace(cfg, seed=s), geom).cost.total for s in seeds]
+        mean = sum(totals) / 4
+        std = math.sqrt(sum((x - mean) ** 2 for x in totals) / 3)
+        assert res.ci95_halfwidth == pytest.approx(t.ppf(0.975, 3) * std / 2.0, rel=1e-12)
 
     def test_derived_seeds_reproducible(self, geom):
         code = make_code(Scheme.REPLICATION, 3)
