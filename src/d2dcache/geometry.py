@@ -5,6 +5,10 @@ circles. From it we get the probability that a random storage node lies
 within distance x of a reference point, the distribution of the q-th
 nearest-neighbor distance, and finally the expected transmission costs
 (powered distances) consumed by the cost model and the simulator.
+
+Every integral is a fixed Gauss-Legendre rule or a closed form evaluated
+on numpy arrays, so one table build integrates all ranks q of a node
+count n at once.
 """
 
 from __future__ import annotations
@@ -13,33 +17,69 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import comb
 from typing import TYPE_CHECKING, Mapping
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.special import betainc, gammaln
 
 if TYPE_CHECKING:
     from .cost_model import SystemConfig
 
-# Outer integrals (over the reference-point offset t) and the ccdf
-# integrals nested inside them. The inner tolerance is 10x tighter so
-# nested quadrature error does not dominate the outer estimate.
-_OUTER_QUAD = {"epsabs": 1e-12, "epsrel": 1e-8, "limit": 200}
-_INNER_QUAD = {"epsabs": 1e-13, "epsrel": 1e-9, "limit": 200}
+# Gauss-Legendre nodes per axis: the offset t and the lens-panel angle.
+# The coarser rule runs beside the fine one only to estimate a table's
+# quadrature error.
+_NODES = 48
+_CHECK_NODES = 32
 
 
-def _eta(x: float, mu: float) -> float:
-    """Circular segment area for a chord of length mu in a circle of radius x."""
-    half = mu / 2.0
-    s = max(min(half / x, 1.0), -1.0)  # clamp: exactly 1 at case boundaries
-    return x * x * math.asin(s) - half * math.sqrt(max(x * x - half * half, 0.0))
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], by Newton's method on the
+    Legendre polynomial P_nodes. Plain numpy: no LAPACK workspace is touched."""
+
+    def evaluate(u):  # P_nodes(u) and its derivative, by the three-term recurrence
+        p, prev = u, np.ones_like(u)
+        for j in range(2, nodes + 1):
+            p, prev = ((2 * j - 1) * u * p - (j - 1) * prev) / j, p
+        return p, nodes * (u * p - prev) / (u * u - 1.0)
+
+    u = np.cos(math.pi * (np.arange(nodes, 0, -1) - 0.25) / (nodes + 0.5))
+    for _ in range(4):  # quadratic convergence from these starting points
+        p, slope = evaluate(u)
+        u = u - p / slope
+    _, slope = evaluate(u)
+    return u, 2.0 / ((1.0 - u * u) * slope**2)
+
+
+_LEGENDRE = {nodes: _gauss_legendre(nodes) for nodes in (_NODES, _CHECK_NODES)}
+
+
+def _legendre(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [a, b]."""
+    u, w = _LEGENDRE[nodes]
+    half = (b - a) / 2.0
+    return a + half * (u + 1.0), half * w
+
+
+def _lens_area(R, r, v):
+    """Elementwise intersection area of circles of radii R and r whose
+    centers are v apart, for |R - r| <= v <= R + r.
+
+    The half-angles come from atan2 against four times the area of the
+    (v, R, r) triangle, so both lens regimes share one expression.
+    """
+    s = np.sqrt(np.maximum((r + R - v) * (r - R + v) * (-r + R + v) * (r + R + v), 0.0))
+    return (
+        R * R * np.arctan2(s, v * v + R * R - r * r)
+        + r * r * np.arctan2(s, v * v + r * r - R * R)
+        - 0.5 * s
+    )
 
 
 def circle_intersection_area(R: float, r: float, v: float) -> float:
     """Intersection area of circles of radii R and r whose centers are v apart.
 
-    Symmetric in (R, r); piecewise over full containment, two lens
-    regimes split at v = sqrt(R^2 - r^2), and disjoint circles.
+    Symmetric in (R, r); piecewise over full containment, the lens, and
+    disjoint circles.
     """
     if R <= 0.0 or r <= 0.0:
         raise ValueError(f"circle radii must be positive, got R={R}, r={r}")
@@ -51,11 +91,7 @@ def circle_intersection_area(R: float, r: float, v: float) -> float:
         return math.pi * r * r
     if v >= R + r:
         return 0.0
-    mu = math.sqrt(max((r + R - v) * (r - R + v) * (-r + R + v) * (r + R + v), 0.0)) / v
-    if v * v <= R * R - r * r:
-        # small circle's center side: its segment is the major one
-        return math.pi * r * r - _eta(r, mu) + _eta(R, mu)
-    return _eta(r, mu) + _eta(R, mu)
+    return float(_lens_area(R, r, v))
 
 
 def coverage_probability(x: float, r: float, t: float) -> float:
@@ -84,13 +120,63 @@ def _check_rank(n: int, q: int) -> None:
         raise ValueError(f"rank q={q} exceeds node count n={n}")
 
 
-def _below_rank_prob(x: float, n: int, q: int, r: float, t: float) -> float:
-    """P(fewer than q of n uniform nodes lie within x) — ccdf of the q-th distance."""
-    p = coverage_probability(x, r, t)
-    s = 0.0
-    for i in range(q):
-        s += comb(n, i) * p**i * (1.0 - p) ** (n - i)
-    return s
+def _lens_panel(r: float, offset, nodes: int):
+    """Nodes on [|r - offset|, r + offset], where a circle of radius x about
+    a point at `offset` from the center of a disk of radius r crosses its edge.
+
+    With c = max(r, offset) and h = min(r, offset), x = c - h cos(theta) for
+    theta in [0, pi], which removes the square-root kinks of the coverage
+    at both ends. Returns x, the weights of dx and the uncovered fraction,
+    with the nodes along a new last axis.
+    """
+    theta, w = _legendre(nodes, 0.0, math.pi)
+    o = np.asarray(offset, dtype=float)[..., None]
+    c, h = np.maximum(r, o), np.minimum(r, o)
+    x = c - h * np.cos(theta)
+    uncovered = np.maximum(1.0 - _lens_area(x, r, o) / (math.pi * r * r), 0.0)
+    return x, h * np.sin(theta) * w, uncovered
+
+
+def _inside_sums(n: int, r: float, t: np.ndarray, gamma: float) -> np.ndarray:
+    """int_0^(r-t) gamma x^(gamma-1) P(Bin(n, p) < q) dx for q = 1..n, per offset in t.
+
+    There the circle of radius x lies inside the disk, so p = x^2/r^2, and
+    with g = gamma/2 and z = ((r - t)/r)^2 each binomial term integrates to
+    g r^gamma C(n, i) B(g + i, n - i + 1) I_z(g + i, n - i + 1), exactly.
+    """
+    g = gamma / 2.0
+    i = np.arange(n)[:, None]
+    coef = np.exp(gammaln(n + 1) + gammaln(g + i) - gammaln(i + 1) - gammaln(g + n + 1))
+    terms = coef * betainc(g + i, n - i + 1, ((r - t) / r) ** 2)
+    return g * r**gamma * np.cumsum(terms, axis=0)
+
+
+def _powered_distances(n: int, r: float, t: np.ndarray, gamma: float, nodes: int) -> np.ndarray:
+    """E[X_q^gamma] for q = 1..n, X_q the q-th nearest of n nodes to a point
+    at each offset in t: an (n, len(t)) array.
+
+    Integrates gamma x^(gamma-1) against the ccdf P(Bin(n, p) < q) =
+    I_{1-p}(n - q + 1, q): in closed form up to r - t, by the lens panel beyond.
+    """
+    x, w, uncovered = _lens_panel(r, t, nodes)
+    w = gamma * x ** (gamma - 1.0) * w
+    # one rank at a time keeps the temporaries at one (t, theta) grid
+    lens = [(betainc(n - q + 1, q, uncovered) * w).sum(axis=-1) for q in range(1, n + 1)]
+    return _inside_sums(n, r, t, gamma) + np.array(lens)
+
+
+def _link_costs(n: int, r: float, gamma: float, nodes: int) -> np.ndarray:
+    """L(q, n) for q = 1..n: the powered distances averaged over a uniform
+    reference point, whose offset density is 2t/r^2."""
+    t, w = _legendre(nodes, 0.0, r)
+    return _powered_distances(n, r, t, gamma, nodes) @ (2.0 * t * w / (r * r))
+
+
+def _check_moment(r: float, gamma: float) -> None:
+    if r <= 0.0:
+        raise ValueError(f"disk radius must be positive, got r={r}")
+    if gamma < 1.0:
+        raise ValueError(f"pathloss exponent must be >= 1, got gamma={gamma}")
 
 
 def expected_neighbor_distance(n: int, q: int, r: float, t: float) -> float:
@@ -106,19 +192,10 @@ def expected_neighbor_distance_power(
     Integrates gamma * x^(gamma-1) against the distance ccdf.
     """
     _check_rank(n, q)
+    _check_moment(r, gamma)
     if not 0.0 <= t <= r:
         raise ValueError(f"offset must satisfy 0 <= t <= r, got t={t}, r={r}")
-    if gamma < 1.0:
-        raise ValueError(f"pathloss exponent must be >= 1, got gamma={gamma}")
-
-    def integrand(x: float) -> float:
-        return gamma * x ** (gamma - 1.0) * _below_rank_prob(x, n, q, r, t)
-
-    val, _ = quad(integrand, 0.0, r, **_INNER_QUAD)
-    if t > 0.0:
-        tail, _ = quad(integrand, r, r + t, **_INNER_QUAD)
-        val += tail
-    return val
+    return float(_powered_distances(n, r, np.array([t]), gamma, _NODES)[q - 1, 0])
 
 
 def link_cost(q: int, n: int, r: float, gamma: float) -> float:
@@ -128,12 +205,15 @@ def link_cost(q: int, n: int, r: float, gamma: float) -> float:
     reference point, whose offset density is 2t/r^2.
     """
     _check_rank(n, q)
+    _check_moment(r, gamma)
+    return float(_link_costs(n, r, gamma, _NODES)[q - 1])
 
-    def integrand(t: float) -> float:
-        return t * expected_neighbor_distance_power(n, q, r, t, gamma)
 
-    val, _ = quad(integrand, 0.0, r, **_OUTER_QUAD)
-    return 2.0 / (r * r) * val
+def _base_station_cost(r: float, v: float, gamma_bs: float, nodes: int) -> float:
+    # the distance ccdf is 1 below v - r and 0 above v + r
+    x, w, uncovered = _lens_panel(r, v, nodes)
+    tail = gamma_bs * x ** (gamma_bs - 1.0) * w * uncovered
+    return (v - r) ** gamma_bs + float(tail.sum())
 
 
 def base_station_cost(r: float, v: float, gamma_bs: float) -> float:
@@ -145,17 +225,7 @@ def base_station_cost(r: float, v: float, gamma_bs: float) -> float:
         raise ValueError(f"base station must lie outside the cluster (v > r), got v={v}, r={r}")
     if gamma_bs < 1.0:
         raise ValueError(f"pathloss exponent must be >= 1, got gamma_bs={gamma_bs}")
-
-    disk = math.pi * r * r
-
-    def integrand(x: float) -> float:
-        # the base station sits outside the disk, so use the area ratio directly
-        covered = min(circle_intersection_area(x, r, v) / disk, 1.0)
-        return gamma_bs * x ** (gamma_bs - 1.0) * (1.0 - covered)
-
-    # ccdf is identically 1 below v - r and 0 above v + r
-    val, _ = quad(integrand, v - r, v + r, **_INNER_QUAD)
-    return (v - r) ** gamma_bs + val
+    return _base_station_cost(r, v, gamma_bs, _NODES)
 
 
 @dataclass(frozen=True)
@@ -164,6 +234,9 @@ class GeometryTable:
 
     entries maps (q, n) with 1 <= q <= n <= n_max to the expected D2D
     transmission cost; bs_cost is the base-station downlink analogue.
+    quad_error, set by build_geometry_table, is the largest relative gap
+    between the fine and the check quadrature over entries and bs_cost;
+    it is neither compared nor written to JSON.
     Immutable after construction; safe to share across threads.
     """
 
@@ -173,6 +246,7 @@ class GeometryTable:
     v: float
     bs_cost: float
     entries: Mapping[tuple[int, int], float]
+    quad_error: float | None = field(default=None, compare=False)
     # _prefix[n][count] is nearest_sum(count, n), summed in q order from 0
     _prefix: dict[int, list[float]] = field(init=False, repr=False, compare=False)
 
@@ -226,18 +300,29 @@ class GeometryTable:
 
 
 def build_geometry_table(cfg: "SystemConfig", n_max: int) -> GeometryTable:
-    """Tabulate link_cost for all 1 <= q <= n <= n_max plus the base-station cost."""
+    """Tabulate link_cost for all 1 <= q <= n <= n_max plus the base-station cost.
+
+    Every entry is also integrated by the coarser check rule; quad_error is
+    the largest relative gap between the two.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_moment(cfg.r, cfg.gamma_d2d)
+    bs_cost = base_station_cost(cfg.r, cfg.v, cfg.gamma_bs)
+    bs_check = _base_station_cost(cfg.r, cfg.v, cfg.gamma_bs, _CHECK_NODES)
+    quad_error = abs(bs_cost - bs_check) / bs_cost
     entries = {}
     for n in range(1, n_max + 1):
-        for q in range(1, n + 1):
-            entries[(q, n)] = link_cost(q, n, cfg.r, cfg.gamma_d2d)
+        costs = _link_costs(n, cfg.r, cfg.gamma_d2d, _NODES)
+        check = _link_costs(n, cfg.r, cfg.gamma_d2d, _CHECK_NODES)
+        quad_error = max(quad_error, float((np.abs(costs - check) / costs).max()))
+        entries.update(zip(((q, n) for q in range(1, n + 1)), costs.tolist()))
     return GeometryTable(
         r=cfg.r,
         gamma_d2d=cfg.gamma_d2d,
         gamma_bs=cfg.gamma_bs,
         v=cfg.v,
-        bs_cost=base_station_cost(cfg.r, cfg.v, cfg.gamma_bs),
+        bs_cost=bs_cost,
         entries=entries,
+        quad_error=quad_error,
     )

@@ -251,3 +251,76 @@ class TestGeometryTable:
         again = GeometryTable.from_json(table.to_json())
         assert again == table
         assert again.to_json() == table.to_json()
+
+
+class TestQuadratureOracles:
+    """Closed forms and identities the table quadrature must reproduce."""
+
+    @pytest.mark.parametrize("r", [1.0, 0.6, 2.5])
+    def test_two_point_moments(self, r):
+        # E|X1 - X2|^2 = r^2 and E|X1 - X2|^4 = 5 r^4 / 3 for uniform disk points
+        assert link_cost(1, 1, r, 2.0) == pytest.approx(r**2, rel=1e-12)
+        assert link_cost(1, 1, r, 4.0) == pytest.approx(5.0 * r**4 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.2, 1.5, 2.1, 3.3])
+    def test_two_point_moments_against_distance_density(self, gamma):
+        from scipy.integrate import quad
+
+        # density of s = |X1 - X2| / 2r for two uniform points in a disk of radius r
+        def density(s):
+            return 16.0 * s * (math.acos(s) - s * math.sqrt(1.0 - s * s)) / math.pi
+
+        r = 1.7
+        moment, _ = quad(lambda s: s**gamma * density(s), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)
+        assert link_cost(1, 1, r, gamma) == pytest.approx((2.0 * r) ** gamma * moment, rel=1e-11)
+
+    @pytest.mark.parametrize("gamma", [2.0, 2.7, 4.0])
+    def test_ranks_sum_to_all_distances(self, gamma):
+        # summed over ranks, the n nearest are all n nodes: n * E|X1 - X2|^gamma
+        t = build_geometry_table(SystemConfig(gamma_d2d=gamma), n_max=8)
+        for n in range(1, 9):
+            total = t.nearest_sum(n, n)
+            assert total == pytest.approx(n * t.link(1, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("r, v", [(1.0, 20.0), (1.0, 1.5), (3.0, 10.0)])
+    def test_base_station_second_moment(self, r, v):
+        assert base_station_cost(r, v, 2.0) == pytest.approx(v * v + r * r / 2.0, rel=1e-12)
+
+    def test_matches_nested_adaptive_quadrature(self):
+        # the n_max=3, v=15 table as nested adaptive quadrature computed it
+        adaptive = {
+            (1, 1): 1.6666666665463397,
+            (1, 2): 0.65370798822386533,
+            (2, 2): 2.6796253448705398,
+            (1, 3): 0.33751746216021583,
+            (2, 3): 1.2860890403460452,
+            (3, 3): 3.3763934971366192,
+        }
+        t = build_geometry_table(SystemConfig(v=15.0), n_max=3)
+        assert t.entries.keys() == adaptive.keys()
+        for key, value in adaptive.items():
+            assert t.entries[key] == pytest.approx(value, rel=2e-8)
+
+    @pytest.mark.parametrize("gamma", [2.1, 3.0, 4.0])
+    def test_quad_error_is_small(self, gamma):
+        t = build_geometry_table(SystemConfig(gamma_d2d=gamma), n_max=8)
+        assert math.isfinite(t.quad_error)
+        assert 0.0 <= t.quad_error <= 1e-7
+
+    def test_quad_error_is_not_persisted(self, table):
+        again = GeometryTable.from_json(table.to_json())
+        assert again.quad_error is None
+        assert again == table
+        assert "quad_error" not in table.to_json()
+
+    @pytest.mark.parametrize("nodes", [32, 48])
+    def test_gauss_legendre_rule(self, nodes):
+        from d2dcache.geometry import _gauss_legendre
+
+        u, w = _gauss_legendre(nodes)
+        ref_u, ref_w = np.polynomial.legendre.leggauss(nodes)
+        assert np.abs(u - ref_u).max() < 1e-15
+        assert np.abs(w / ref_w - 1.0).max() < 1e-11
+        # exact for every polynomial of degree below 2 * nodes
+        for degree in (0, 2, nodes, 2 * nodes - 2):
+            assert (w * u**degree).sum() == pytest.approx(2.0 / (degree + 1), rel=1e-13)
