@@ -263,14 +263,20 @@ class GeometryTable:
 
     def link(self, q: int, n: int) -> float:
         _check_rank(n, q)
-        return self.entries[(q, n)]
+        try:
+            return self.entries[(q, n)]
+        except KeyError:
+            raise ValueError(f"node count n={n} is beyond this table's n_max={self.n_max}") from None
 
     def nearest_sum(self, count: int, n: int) -> float:
         """Sum of L(q, n) over q = 1..count: one data unit from each of the
         count nearest of n storage nodes."""
         if not 0 <= count <= n:
             raise ValueError(f"need 0 <= count <= n, got count={count}, n={n}")
-        return self._prefix[n][count] if count else 0.0
+        try:
+            return self._prefix[n][count] if count else 0.0
+        except KeyError:
+            raise ValueError(f"node count n={n} is beyond this table's n_max={self.n_max}") from None
 
     def to_json(self) -> str:
         def f(x: float) -> str:

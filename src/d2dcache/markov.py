@@ -2,10 +2,9 @@
 
 The cluster population is an M/M/infinity birth-death process (arrivals
 at m*lam, per-node departures at lam) whose stationary law is Poisson
-with mean m. Simple caching adds a second chain level tracking whether
-the file is currently cached; we solve its truncated global-balance
-system directly rather than iterating the (underdetermined) three-term
-recursion its lower-level probabilities satisfy.
+with mean m. Simple caching adds a level tracking whether the file is
+cached. Its uncached level solves the three-term zeta recursion, one
+tridiagonal system; the cached level is the rest of the Poisson law.
 """
 
 from __future__ import annotations
@@ -21,6 +20,19 @@ class SolverError(RuntimeError):
     """Steady-state linear system could not be solved reliably."""
 
 
+def _check_positive(**values: float) -> None:
+    """Reject a non-finite or non-positive mean or rate with ValueError."""
+    for name, x in values.items():
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {name}={x}")
+
+
+def _poisson_pmf(m: float, j_max: int) -> np.ndarray:
+    """Poisson(m) probabilities of 0..j_max nodes, not renormalized."""
+    j = np.arange(j_max + 1)
+    return np.exp(j * math.log(m) - m - gammaln(j + 1))
+
+
 def default_truncation(m: float) -> int:
     """Truncation level with negligible Poisson tail (20 std devs past the mean)."""
     return math.ceil(m + 20.0 * math.sqrt(m))
@@ -28,8 +40,7 @@ def default_truncation(m: float) -> int:
 
 def poisson_steady_state(m: float, j: int) -> float:
     """Stationary probability of j nodes in the cluster: m^j e^-m / j!."""
-    if m <= 0.0:
-        raise ValueError(f"mean population must be positive, got m={m}")
+    _check_positive(m=m)
     if j < 0:
         raise ValueError(f"state index must be nonnegative, got j={j}")
     return math.exp(j * math.log(m) - m - math.lgamma(j + 1))
@@ -37,12 +48,10 @@ def poisson_steady_state(m: float, j: int) -> float:
 
 def poisson_tail_at_or_below(m: float, n: int) -> float:
     """Probability that the cluster population is n or below."""
-    if m <= 0.0:
-        raise ValueError(f"mean population must be positive, got m={m}")
+    _check_positive(m=m)
     if n < 0:
         raise ValueError(f"state index must be nonnegative, got n={n}")
-    j = np.arange(n + 1)
-    return float(np.exp(j * math.log(m) - m - gammaln(j + 1)).sum())
+    return float(_poisson_pmf(m, n).sum())
 
 
 @dataclass(frozen=True)
@@ -54,10 +63,10 @@ class PopulationDistribution:
 
     @classmethod
     def from_mean(cls, m: float, j_max: int | None = None) -> "PopulationDistribution":
+        _check_positive(m=m)
         if j_max is None:
             j_max = default_truncation(m)
-        j = np.arange(j_max + 1)
-        probs = np.exp(j * math.log(m) - m - gammaln(j + 1))
+        probs = _poisson_pmf(m, j_max)
         return cls(m=m, probs=probs / probs.sum())
 
     def mean(self) -> float:
@@ -82,74 +91,60 @@ class CachingChainState:
     lower: np.ndarray
 
 
-def generator_matrix(m: float, omega: float, lam: float, j_max: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Truncated generator of the two-level chain, with its state labels.
-
-    State (x, y): x in {0, 1} caching nodes, y empty nodes. Transitions:
-    arrivals (x, y) -> (x, y+1) at m*lam; empty-node departures at y*lam;
-    the caching node departs (1, y) -> (0, y) at lam; a request while the
-    file is uncached makes the requester download from the base station
-    and become the caching node, (0, y) -> (1, y-1) at y*omega.
-    """
-    states = [(0, y) for y in range(j_max + 1)] + [(1, y) for y in range(j_max)]
-    index = {s: i for i, s in enumerate(states)}
-    N = len(states)
-    Q = np.zeros((N, N))
-
-    def add(src: tuple[int, int], dst: tuple[int, int], rate: float) -> None:
-        if dst in index:
-            Q[index[src], index[dst]] += rate
-
-    for y in range(j_max + 1):
-        add((0, y), (0, y + 1), m * lam)
-        if y >= 1:
-            add((0, y), (0, y - 1), y * lam)
-            add((0, y), (1, y - 1), y * omega)
-    for y in range(j_max):
-        add((1, y), (1, y + 1), m * lam)
-        if y >= 1:
-            add((1, y), (1, y - 1), y * lam)
-        add((1, y), (0, y), lam)
-    Q[np.arange(N), np.arange(N)] = -Q.sum(axis=1)
-    return Q, states
+def _balance_residual(m: float, omega: float, lam: float, lower: np.ndarray, upper: np.ndarray) -> float:
+    """Largest net probability flow into any state of the two-level chain."""
+    cached = upper[1:]  # cached[y]: the caching node and y empty nodes
+    loss = lam * cached  # (1, y) -> (0, y): the caching node departs
+    request = omega * np.arange(1, len(lower)) * lower[1:]  # (0, y) -> (1, y-1)
+    cross = (np.append(loss, 0.0) - np.insert(request, 0, 0.0), request - loss)
+    # net flow y -> y+1 within a level: arrivals (blocked at its top state), empty-node departures
+    ups = [m * lam * p[:-1] - lam * np.arange(1, len(p)) * p[1:] for p in (lower, cached)]
+    return max(float(np.abs(c - np.diff(u, prepend=0.0, append=0.0)).max()) for c, u in zip(cross, ups))
 
 
 def simple_caching_steady_state(
     m: float, omega: float, lam: float, j_max: int | None = None
 ) -> CachingChainState:
-    """Solve the truncated global-balance system of the two-level chain."""
-    if m <= 0.0 or omega <= 0.0 or lam <= 0.0:
-        raise ValueError(f"rates must be positive, got m={m}, omega={omega}, lam={lam}")
+    """Steady state of the two-level chain, truncated at j_max nodes.
+
+    State (x, y): x in {0, 1} caching nodes, y empty nodes. Nodes arrive at
+    m*lam (blocked at j_max in total) and depart at lam each, the caching
+    node's departure uncaching the file; while uncached, a request at
+    y*omega moves (0, y) -> (1, y-1). With upper = pi - lower, balance at
+    (0, y), y = 0..j_max, is a column diagonally dominant tridiagonal
+    system in z = lower, solved by Thomas elimination without pivoting:
+
+        (a_y + y(lam + omega)) z_y - m lam z_{y-1} - y lam z_{y+1} = lam pi_{y+1}
+
+    with a_y = m lam but a_{j_max} = 0, and 0 on the right of the last row.
+    The residual over both levels checks the cached level's balance.
+    """
+    _check_positive(m=m, omega=omega, lam=lam)
     if j_max is None:
         j_max = default_truncation(m)
     if j_max < m + 10.0 * math.sqrt(m):
         raise ValueError(f"truncation j_max={j_max} too small for m={m}")
 
-    Q, states = generator_matrix(m, omega, lam, j_max)
-    A = Q.T  # balance equations A p = 0; they sum to zero, so one is redundant
-    redundant = A[-1].copy()
-    A[-1] = 1.0  # normalization takes the redundant equation's place
-    b = np.zeros(len(states))
-    b[-1] = 1.0
-    try:
-        p = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"balance system singular at j_max={j_max}: {err}") from err
-    # residual of the full system: every balance equation and normalization
-    residual = max(float(np.abs(A @ p - b).max()), abs(float(redundant @ p)))
+    pi = PopulationDistribution.from_mean(m, j_max).probs
+    # rows over lam; elimination leaves z_y = d[y] + e[y] z_{y+1}, all terms >= 0
+    rhs, w = pi.tolist(), omega / lam
+    e, d = [0.0], [rhs[0]]  # row 0 reads z_0 = pi_0
+    for y in range(1, j_max):
+        pivot = m + y * (1.0 + w) - m * e[-1]
+        e.append(y / pivot)
+        d.append((rhs[y + 1] + m * d[-1]) / pivot)
+    z = [m * d[-1] / (j_max * (1.0 + w) - m * e[-1])]  # last row
+    for y in range(j_max - 1, -1, -1):
+        z.append(d[y] + e[y] * z[-1])
+    lower = np.array(z[::-1])
+    p = np.concatenate((lower, pi - lower))
+    p[j_max + 1] = 0.0  # upper[0]: a cached file implies its caching node
+    residual = _balance_residual(m, omega, lam, p[: j_max + 1], p[j_max + 1 :])
     if not np.isfinite(p).all() or residual > 1e-9 or p.min() < -1e-9:
-        cond = float(np.linalg.cond(A))
-        raise SolverError(
-            f"balance system ill-conditioned at j_max={j_max}: "
-            f"residual={residual:.3e}, condition estimate={cond:.3e}"
-        )
+        raise SolverError(f"j_max={j_max}: balance residual {residual:.3e}, min p {p.min():.3e}")
     p = np.clip(p, 0.0, None)
     p /= p.sum()
-
-    lower = p[: j_max + 1]
-    upper = np.zeros(j_max + 1)
-    upper[1:] = p[j_max + 1 :]  # (1, y) holds y+1 nodes in total
-    return CachingChainState(m=m, omega=omega, lam=lam, j_max=j_max, upper=upper, lower=lower)
+    return CachingChainState(m, omega, lam, j_max, upper=p[j_max + 1 :], lower=p[: j_max + 1])
 
 
 def zeta_recursion_residual(state: CachingChainState) -> float:
@@ -160,16 +155,13 @@ def zeta_recursion_residual(state: CachingChainState) -> float:
 
         zeta_{j+1} = (m/j + omega/lam + 1) zeta_j - (m/j) zeta_{j-1} - pi_{j+1} / j
 
-    for j >= 1, with zeta_0 = 0 in the untruncated chain.
+    for j >= 1, with zeta_0 = pi_0: with no node present the file is uncached.
     """
-    z = state.lower
-    m, w = state.m, state.omega / state.lam
-    pi = np.array([poisson_steady_state(m, j) for j in range(state.j_max + 1)])
-    worst = 0.0
-    for j in range(1, state.j_max):
-        rhs = (m / j + w + 1.0) * z[j] - (m / j) * z[j - 1] - pi[j + 1] / j
-        worst = max(worst, abs(z[j + 1] - rhs))
-    return worst
+    z, m, w = state.lower, state.m, state.omega / state.lam
+    pi = _poisson_pmf(m, state.j_max)
+    j = np.arange(1, state.j_max)
+    rhs = (m / j + w + 1.0) * z[1:-1] - (m / j) * z[:-2] - pi[2:] / j
+    return float(np.abs(z[2:] - rhs).max(initial=0.0))
 
 
 def base_station_request_fraction(state: CachingChainState) -> float:

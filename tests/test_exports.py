@@ -16,7 +16,7 @@ def test_import_leaves_heavy_scipy_modules_out():
     from pathlib import Path
 
     src = str(Path(d2dcache.__file__).resolve().parents[1])
-    heavy = "('scipy.integrate', 'scipy.stats')"
+    heavy = "('scipy.integrate', 'scipy.stats', 'scipy.linalg')"
     code = f"import sys; sys.path.insert(0, {src!r}); import d2dcache; "
     code += f"print([m for m in {heavy} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from d2dcache.codes import Scheme
 from d2dcache.cost_model import SystemConfig
 from d2dcache.geometry import (
     GeometryTable,
@@ -14,6 +15,7 @@ from d2dcache.geometry import (
     expected_neighbor_distance_power,
     link_cost,
 )
+from d2dcache.optimizer import SearchRanges, optimize
 
 
 def lens_area_oracle(R, r, v):
@@ -246,6 +248,16 @@ class TestGeometryTable:
         for count in (-1, 5):
             with pytest.raises(ValueError):
                 table.nearest_sum(count, 4)
+
+    def test_ranks_beyond_the_table(self, table):
+        calls = (
+            lambda: table.link(1, 7),
+            lambda: table.nearest_sum(2, 7),
+            lambda: optimize(SystemConfig(), Scheme.MSR, SearchRanges((2, 8), (3, 8)), table),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="n_max=6"):
+                call()
 
     def test_json_round_trip(self, table):
         again = GeometryTable.from_json(table.to_json())

@@ -1,20 +1,53 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from d2dcache import markov
 from d2dcache.markov import (
     CachingChainState,
     PopulationDistribution,
     SolverError,
     base_station_request_fraction,
     default_truncation,
-    generator_matrix,
     poisson_steady_state,
     poisson_tail_at_or_below,
     simple_caching_steady_state,
     zeta_recursion_residual,
 )
+
+
+def generator_matrix(m: float, omega: float, lam: float, j_max: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Truncated generator of the two-level chain, with its state labels.
+
+    State (x, y): x in {0, 1} caching nodes, y empty nodes. Transitions:
+    arrivals (x, y) -> (x, y+1) at m*lam; empty-node departures at y*lam;
+    the caching node departs (1, y) -> (0, y) at lam; a request while the
+    file is uncached makes the requester download from the base station
+    and become the caching node, (0, y) -> (1, y-1) at y*omega.
+    """
+    states = [(0, y) for y in range(j_max + 1)] + [(1, y) for y in range(j_max)]
+    index = {s: i for i, s in enumerate(states)}
+    N = len(states)
+    Q = np.zeros((N, N))
+
+    def add(src: tuple[int, int], dst: tuple[int, int], rate: float) -> None:
+        if dst in index:
+            Q[index[src], index[dst]] += rate
+
+    for y in range(j_max + 1):
+        add((0, y), (0, y + 1), m * lam)
+        if y >= 1:
+            add((0, y), (0, y - 1), y * lam)
+            add((0, y), (1, y - 1), y * omega)
+    for y in range(j_max):
+        add((1, y), (1, y + 1), m * lam)
+        if y >= 1:
+            add((1, y), (1, y - 1), y * lam)
+        add((1, y), (0, y), lam)
+    Q[np.arange(N), np.arange(N)] = -Q.sum(axis=1)
+    return Q, states
 
 
 class TestPoissonLaw:
@@ -115,13 +148,68 @@ class TestCachingChain:
         with pytest.raises(ValueError):
             simple_caching_steady_state(m=100.0, omega=0.01, lam=1.0, j_max=50)
 
-    def test_singular_system_is_a_solver_error(self, monkeypatch):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+    def test_residual_gate_is_a_solver_error(self, monkeypatch):
+        # a NaN population law fails the finiteness check; a Poisson law of
+        # the wrong mean leaves the cached level's balance unmet
+        poisson_pmf = markov._poisson_pmf
+        for pmf in (
+            lambda m, j_max: np.full(j_max + 1, np.nan),
+            lambda m, j_max: poisson_pmf(1.01 * m, j_max),
+        ):
+            monkeypatch.setattr(markov, "_poisson_pmf", pmf)
+            with pytest.raises(SolverError, match="balance residual"):
+                simple_caching_steady_state(m=30.0, omega=0.02, lam=1.0, j_max=200)
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(SolverError, match="singular"):
-            simple_caching_steady_state(m=30.0, omega=0.02, lam=1.0, j_max=200)
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @pytest.mark.parametrize("omega", [1e-3, 0.1, 2.0])
+    @pytest.mark.parametrize("m", [5.0, 20.0, 100.0, 200.0])
+    def test_matches_dense_generator_solve(self, m, omega, lam):
+        state = simple_caching_steady_state(m, omega, lam)
+        Q, states = generator_matrix(m, omega, lam, state.j_max)
+        p = np.concatenate((state.lower, state.upper[1:]))  # in the generator's state order
+        assert np.abs(p @ Q).max() < 1e-10
+        A = Q.T.copy()
+        A[-1] = 1.0  # normalization replaces one redundant balance equation
+        b = np.zeros(len(states))
+        b[-1] = 1.0
+        assert np.abs(p - np.linalg.solve(A, b)).max() < 1e-13
+        pi = PopulationDistribution.from_mean(m, state.j_max).probs
+        assert state.lower[0] == pytest.approx(pi[0], rel=1e-15, abs=0.0)
+
+    def test_memory_is_linear_in_truncation(self):
+        tracemalloc.start()
+        try:
+            simple_caching_steady_state(1000.0, 0.01, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: simple_caching_steady_state(100.0, math.inf, 1.0),
+            lambda: simple_caching_steady_state(100.0, math.nan, 1.0),
+            lambda: simple_caching_steady_state(100.0, 0.01, math.inf),
+            lambda: simple_caching_steady_state(100.0, 0.01, 0.0),
+            lambda: simple_caching_steady_state(math.nan, 0.01, 1.0),
+            lambda: simple_caching_steady_state(math.inf, 0.01, 1.0),
+            lambda: PopulationDistribution.from_mean(0.0),
+            lambda: PopulationDistribution.from_mean(math.nan),
+            lambda: poisson_steady_state(math.inf, 3),
+            lambda: poisson_tail_at_or_below(math.nan, 3),
+            lambda: poisson_tail_at_or_below(-1.0, 3),
+        ],
+        ids=[
+            "chain-omega-inf", "chain-omega-nan", "chain-lam-inf", "chain-lam-zero", "chain-m-nan",
+            "chain-m-inf", "law-m-zero", "law-m-nan", "pmf-m-inf", "tail-m-nan", "tail-m-negative",
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive(self, call):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            call()
 
 
 class TestBaseStationFraction:
